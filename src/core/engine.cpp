@@ -1,7 +1,6 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <optional>
 
@@ -10,7 +9,6 @@
 #include "ddg/mii.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "perf/thread_pool.h"
 #include "sched/banks.h"
 #include "sched/mrt.h"
 #include "sched/validate.h"
@@ -19,33 +17,6 @@ namespace hcrf::core {
 
 using sched::BankId;
 using sched::kSharedBank;
-
-namespace {
-
-/// Field-wise merge of per-attempt stat deltas. Escalation-order merging of
-/// exact per-attempt sums reproduces the serial driver's running totals
-/// bit-for-bit: the long counters trivially, and the doubles because every
-/// increment (1.0 spends, budget_ratio-multiple grants) is exactly
-/// representable at workload magnitudes, making the sums associative.
-void Accumulate(ScheduleStats& into, const ScheduleStats& d) {
-  into.attempts += d.attempts;
-  into.ejections += d.ejections;
-  into.force_places += d.force_places;
-  into.restarts += d.restarts;
-  into.comm_ops += d.comm_ops;
-  into.spill_stores += d.spill_stores;
-  into.spill_loads += d.spill_loads;
-  into.storer_ops += d.storer_ops;
-  into.loadr_ops += d.loadr_ops;
-  into.move_ops += d.move_ops;
-  into.spills_inserted += d.spills_inserted;
-  into.chains_built += d.chains_built;
-  into.chains_undone += d.chains_undone;
-  into.budget_spent += d.budget_spent;
-  into.budget_granted += d.budget_granted;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // AttemptContext
@@ -291,15 +262,11 @@ int AttemptContext::SelectCluster(NodeId u) {
 // One II attempt
 // ---------------------------------------------------------------------------
 
-AttemptStatus AttemptContext::TryII(int ii, const SpeculationToken* cancel) {
-  if (!obs::TraceEnabled()) return RunAttempt(ii, cancel);
+AttemptStatus AttemptContext::TryII(int ii) {
+  if (!obs::TraceEnabled()) return RunAttempt(ii);
   obs::TraceSpan span("sched", "attempt", ii);
-  const AttemptStatus st = RunAttempt(ii, cancel);
+  const AttemptStatus st = RunAttempt(ii);
   span.set_detail(std::string(ToString(st)));
-  if (st == AttemptStatus::kCancelled) {
-    obs::Tracer::Shared().Instant("spec", "cancelled", ii,
-                                  static_cast<int>(kNoNode));
-  }
   return st;
 }
 
@@ -309,7 +276,7 @@ AttemptStatus AttemptContext::TryIISeeded(const ScheduleResult& seed, int ii,
   BeginAttempt(ii);
   const int seeded = SeedFrom(seed);
   if (seeded_out != nullptr) *seeded_out = seeded;
-  const AttemptStatus st = FinishAttempt(ii, nullptr);
+  const AttemptStatus st = FinishAttempt(ii);
   span.set_detail(std::string(ToString(st)) + " seeded=" +
                   std::to_string(seeded));
   return st;
@@ -335,31 +302,45 @@ int AttemptContext::SeedFrom(const ScheduleResult& seed) {
         (m_.rf.HasClusters() ? p.cluster >= m_.rf.clusters : p.cluster != 0)) {
       continue;  // seed from a different clustering: not replayable
     }
+    // v stays unscheduled whenever the replay is abandoned below, so the
+    // chains EnsureCommunication built for it must go too, exactly as an
+    // ejection of v would unwind them. A chain node left scheduled under an
+    // unscheduled endpoint is later re-fixed as an ordinary consumer when
+    // the repair places v, and unwinding that fix once the chain node has
+    // been collected would restore an edge to a dead node.
+    const auto drop_chains = [&] {
+      comm_.UndoFixesTouching(v);
+      comm_.GarbageCollectComm();
+    };
     // Cross-bank flows need their communication chains rebuilt before the
     // consumer lands (the seed's own chains were skipped above). A chain
     // the rewriter cannot build ends the seeding; the repair cascade
     // re-derives whatever is left.
-    if (!comm_.EnsureCommunication(v, p.cluster)) break;
+    if (!comm_.EnsureCommunication(v, p.cluster)) {
+      drop_chains();
+      break;
+    }
     // Chain force-placements may have ejected or garbage-collected v.
     if (!st_.g.IsAlive(v) || st_.sched->IsScheduled(v)) continue;
     const auto needs =
         sched::ResourceNeeds(st_.g.node(v).op, p.cluster, p.src_cluster, m_);
-    bool impossible = false;
-    for (const auto& need : needs) {
-      if (st_.mrt->Capacity(need.kind, need.cluster) <= 0) {
-        impossible = true;
-        break;
-      }
-    }
-    if (impossible) continue;
     // Re-check the dependence window under the CURRENT latencies and edges:
     // a node whose constraints changed since the seed (the perturbation
     // itself, or a neighbour the walk already skipped) is left unscheduled
     // for the repair cascade instead of replayed into a violation.
-    const Window w = st_.ComputeWindow(v);
-    if (w.has_pred && p.cycle < w.early) continue;
-    if (w.has_succ && p.cycle > w.late) continue;
-    if (!st_.mrt->CanPlace(needs, p.cycle)) continue;
+    const auto replayable = [&] {
+      for (const auto& need : needs) {
+        if (st_.mrt->Capacity(need.kind, need.cluster) <= 0) return false;
+      }
+      const Window w = st_.ComputeWindow(v);
+      if (w.has_pred && p.cycle < w.early) return false;
+      if (w.has_succ && p.cycle > w.late) return false;
+      return st_.mrt->CanPlace(needs, p.cycle);
+    };
+    if (!replayable()) {
+      drop_chains();
+      continue;
+    }
     // Same funnel sequence as PlaceNode's free-slot path, minus the
     // instrumentation and budget spend: replayed placements are not
     // attempts, so ScheduleStats keeps measuring repair work only.
@@ -372,11 +353,9 @@ int AttemptContext::SeedFrom(const ScheduleResult& seed) {
   return seeded;
 }
 
-AttemptStatus AttemptContext::RunAttempt(int ii,
-                                         const SpeculationToken* cancel) {
-  if (cancel != nullptr && cancel->Cancels(ii)) return AttemptStatus::kCancelled;
+AttemptStatus AttemptContext::RunAttempt(int ii) {
   BeginAttempt(ii);
-  return FinishAttempt(ii, cancel);
+  return FinishAttempt(ii);
 }
 
 void AttemptContext::BeginAttempt(int ii) {
@@ -395,20 +374,13 @@ void AttemptContext::BeginAttempt(int ii) {
                 8.0 * opt_.budget_ratio * std::max(4, original_.NumNodes()));
 }
 
-AttemptStatus AttemptContext::FinishAttempt(int ii,
-                                            const SpeculationToken* cancel) {
+AttemptStatus AttemptContext::FinishAttempt(int ii) {
   while (true) {
     {
     // One "placement" span per drain of the priority list (a spill fixpoint
     // iteration that reschedules reloads opens another).
     obs::TraceSpan place_span("phase", "placement", ii);
     while (st_.num_unscheduled > 0) {
-      // Cancellation point: once a strictly lower II has validated this
-      // attempt is moot, wherever it stands — including mid-ejection-cascade
-      // (the next TryII resets the context wholesale).
-      if (cancel != nullptr && cancel->Cancels(ii)) {
-        return AttemptStatus::kCancelled;
-      }
       if (st_.churning) {
         return AttemptStatus::kFailed;  // livelocked ping-pong: bump the II
       }
@@ -593,7 +565,7 @@ ScheduleResult AttemptContext::Finalize(const MIIInfo& mii, int ii) {
 }
 
 // ---------------------------------------------------------------------------
-// EngineDriver: serial escalation and speculative II racing
+// EngineDriver: warm-start gate and serial II escalation
 // ---------------------------------------------------------------------------
 
 EngineDriver::EngineDriver(const DDG& loop, const MachineConfig& m,
@@ -636,13 +608,7 @@ ScheduleResult EngineDriver::Run() {
     warm.attempted = true;
     warm.fallback = true;
   }
-  // An attached event sink no longer forces the serial path: the
-  // speculative driver captures each attempt's sink events and replays
-  // them in escalation order after the wave commits (the same protocol
-  // that keeps the per-attempt stats deltas serial-identical), so the sink
-  // stays single-threaded and attempt-ordered while attempts race.
-  ScheduleResult res =
-      opt_.speculate_k >= 2 ? RunSpeculative(mii) : RunSerial(mii);
+  ScheduleResult res = RunSerial(mii);
   res.warm = warm;
   return res;
 }
@@ -676,17 +642,6 @@ std::optional<ScheduleResult> EngineDriver::RunWarm(const MIIInfo& mii) {
   return std::nullopt;
 }
 
-ScheduleResult EngineDriver::FailResult(const MIIInfo& mii,
-                                        const ScheduleStats& stats) const {
-  ScheduleResult res;
-  res.ok = false;
-  res.res_mii = mii.res_mii;
-  res.rec_mii = mii.rec_mii;
-  res.mii = mii.MII();
-  res.stats = stats;
-  return res;
-}
-
 ScheduleResult EngineDriver::RunSerial(const MIIInfo& mii) {
   AttemptContext ctx(original_, m_, opt_, base_overrides_, order_);
   int failures = 0;
@@ -695,203 +650,16 @@ ScheduleResult EngineDriver::RunSerial(const MIIInfo& mii) {
       return ctx.Finalize(mii, ii);
     }
     ++failures;
-    const int next = NextCandidateII(ii, failures);
+    const int next = ii + (failures > 24 ? std::max(1, ii / 8) : 1);
     ctx.instr().IIRestart(next);
     ii = next;
   }
-  return FailResult(mii, ctx.instr().stats());
-}
-
-ScheduleResult EngineDriver::RunSpeculative(const MIIInfo& mii) {
-  perf::SpeculationPool& pool = perf::SpeculationPool::Shared();
-  // On a worker-less pool every attempt runs on this thread anyway, so all
-  // slots share ONE context — the serial driver's cache behaviour (one hot
-  // working graph + MRT) instead of cycling k cold ones.
-  const bool inline_serial = pool.num_workers() == 0;
-  std::vector<std::unique_ptr<AttemptContext>> ctxs;  // reused across waves
-  SpeculationTelemetry spec;
-  // Stats of the failed waves so far, merged in escalation order (the
-  // serial driver's running totals at the same point of the walk).
-  ScheduleStats carry;
-
-  // Per-wave buffers, reused so the escalation loop of a deep walk does
-  // not allocate per wave.
-  std::vector<int> wave;
-  std::vector<AttemptStatus> status;
-  std::vector<ScheduleStats> attempt_stats;
-  std::vector<std::vector<SinkEvent>> attempt_events;
-  std::vector<double> seconds;
-
-  // With a sink attached, each attempt captures its events privately and
-  // the driver replays them below in escalation order — the sink observes
-  // the exact serial sequence (attempt events, then the restart separator)
-  // while the attempts themselves race.
-  const bool capture = opt_.event_sink != nullptr;
-  const auto replay_log = [&](size_t i) {
-    for (const SinkEvent& ev : attempt_events[i]) {
-      opt_.event_sink->OnEvent(ev.e, ev.node, ev.ii);
-    }
-  };
-  // The restart separator between candidates. The serial driver emits it
-  // through Instrumentation (sink + trace instant); here the attempts are
-  // already done, so the driver emits both itself.
-  const auto emit_restart = [&](int next) {
-    if (capture) {
-      opt_.event_sink->OnEvent(SchedEvent::kIIRestart, kNoNode, next);
-    }
-    if (obs::TraceEnabled()) {
-      obs::Tracer::Shared().Instant("sched", "restart", next,
-                                    static_cast<int>(kNoNode));
-    }
-  };
-
-  int failures = 0;
-  int next_ii = mii.MII();
-  bool first_wave = true;
-  while (next_ii <= opt_.max_ii) {
-    // Assemble the wave: the next `width` candidates of the serial
-    // escalation sequence. The first wave tries MII alone unless eager
-    // racing is requested — most loops schedule at MII and racing them
-    // would only burn pool slots.
-    const int width = (first_wave && !opt_.speculate_eager)
-                          ? 1
-                          : std::max(2, opt_.speculate_k);
-    first_wave = false;
-    wave.clear();
-    int ii = next_ii;
-    int f = failures;
-    while (static_cast<int>(wave.size()) < width && ii <= opt_.max_ii) {
-      wave.push_back(ii);
-      ++f;
-      ii = NextCandidateII(wave.back(), f);
-    }
-    const size_t n = wave.size();
-    const size_t slots = inline_serial ? 1 : n;
-    if (ctxs.size() < slots) ctxs.resize(slots);  // slots fill lazily below
-
-    status.assign(n, AttemptStatus::kFailed);
-    attempt_stats.assign(n, ScheduleStats{});
-    attempt_events.assign(n, {});
-    seconds.assign(n, 0.0);
-    SpeculationToken token;
-    const auto run_one = [&](size_t i, const SpeculationToken* cancel) {
-      // Cancelled before starting (a lower II already validated while this
-      // slot sat in the queue): skip even the context construction — on an
-      // undersubscribed pool the above-winner slots cost nothing.
-      if (cancel != nullptr && cancel->Cancels(wave[i])) {
-        status[i] = AttemptStatus::kCancelled;
-        if (obs::TraceEnabled()) {
-          obs::Tracer::Shared().Instant("spec", "cancelled", wave[i],
-                                        static_cast<int>(kNoNode));
-        }
-        return;
-      }
-      const auto t0 = std::chrono::steady_clock::now();
-      std::unique_ptr<AttemptContext>& slot = ctxs[inline_serial ? 0 : i];
-      if (slot == nullptr) {
-        // Each slot index is touched by exactly one task of the wave, so
-        // the lazy fill is race-free.
-        slot = std::make_unique<AttemptContext>(original_, m_, opt_,
-                                                base_overrides_, order_);
-      }
-      slot->instr().ResetStats();  // capture this attempt's deltas only
-      if (capture) slot->BeginSinkCapture();
-      status[i] = slot->TryII(wave[i], cancel);
-      attempt_stats[i] = slot->instr().stats();
-      if (capture) attempt_events[i] = slot->TakeSinkEvents();
-      if (status[i] == AttemptStatus::kScheduled) token.Commit(wave[i]);
-      seconds[i] = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
-    };
-    if (n == 1) {
-      run_one(0, nullptr);
-    } else if (pool.num_workers() == 0) {
-      // Worker-less pool (single-core host): racing degrades to the serial
-      // walk — run the candidates ascending on this thread; once one
-      // validates, the slots above it cancel at entry, so the queue
-      // round-trip would buy nothing.
-      spec.raced += static_cast<int>(n) - 1;
-      for (size_t i = 0; i < n; ++i) run_one(i, &token);
-    } else {
-      spec.raced += static_cast<int>(n) - 1;
-      perf::TaskGroup group(pool);
-      for (size_t i = 1; i < n; ++i) {
-        group.Submit([&run_one, &token, i] { run_one(i, &token); });
-      }
-      // The lowest candidate — the one most likely to be the answer — runs
-      // on the calling thread; RunAndWait then steals any still-queued
-      // sibling, so a saturated pool degrades to serial.
-      run_one(0, &token);
-      group.RunAndWait();
-    }
-    for (double s : seconds) spec.attempt_seconds += s;
-
-    size_t win = n;
-    for (size_t i = 0; i < n; ++i) {
-      if (status[i] == AttemptStatus::kScheduled) {
-        win = i;
-        break;
-      }
-    }
-    if (win < n) {
-      if (n > 1 && win > 0) ++spec.raced_wins;
-      if (n > 1 && obs::TraceEnabled()) {
-        obs::Tracer::Shared().Instant("spec", "win", wave[win],
-                                      static_cast<int>(kNoNode));
-      }
-      // Commit: merge the failed candidates below the winner, then the
-      // winner itself, onto the carried totals — exactly the serial walk's
-      // accumulation order — and let the winner's context finalize. The
-      // captured sink events replay in the same order, restart separators
-      // between candidates, none after the winner.
-      ScheduleStats merged = carry;
-      for (size_t i = 0; i < win; ++i) {
-        HCRF_CHECK(status[i] == AttemptStatus::kFailed,
-                   "attempt below the winning II was cancelled (ii=%d, "
-                   "winner=%d): cancellation requires a success strictly "
-                   "below, which the winner refutes",
-                   wave[i], wave[win]);
-        Accumulate(merged, attempt_stats[i]);
-        if (capture) replay_log(i);
-        emit_restart(wave[i + 1]);
-      }
-      Accumulate(merged, attempt_stats[win]);
-      if (capture) replay_log(win);
-      for (size_t i = win + 1; i < n; ++i) {
-        if (status[i] == AttemptStatus::kCancelled) {
-          ++spec.cancelled;
-        } else {
-          ++spec.discarded;
-        }
-      }
-      // The context that ran the winning attempt (shared slot 0 when the
-      // pool is worker-less: slots above the winner cancelled at entry, so
-      // its last TryII is the winner's).
-      AttemptContext& wctx = *ctxs[inline_serial ? 0 : win];
-      wctx.instr().stats() = merged;
-      ScheduleResult res = wctx.Finalize(mii, wave[win]);
-      res.spec = spec;
-      return res;
-    }
-
-    // Whole wave failed: carry every attempt's stats forward (and replay
-    // its events, each followed by the restart the serial walk would emit —
-    // the last one names the post-wave candidate), then continue the
-    // escalation where the serial walk would.
-    for (size_t i = 0; i < n; ++i) {
-      HCRF_CHECK(status[i] == AttemptStatus::kFailed,
-                 "attempt at II=%d cancelled without any success in the wave",
-                 wave[i]);
-      Accumulate(carry, attempt_stats[i]);
-      if (capture) replay_log(i);
-      emit_restart(i + 1 < n ? wave[i + 1] : ii);
-    }
-    failures = f;
-    next_ii = ii;
-  }
-  ScheduleResult res = FailResult(mii, carry);
-  res.spec = spec;
+  ScheduleResult res;
+  res.ok = false;
+  res.res_mii = mii.res_mii;
+  res.rec_mii = mii.rec_mii;
+  res.mii = mii.MII();
+  res.stats = ctx.instr().stats();
   return res;
 }
 

@@ -5,7 +5,7 @@
 // flat service::RunBatch call — deduplicated by schedule-cache key, so a
 // cell shared between experiments (e.g. the characterized S128 baseline
 // appears in Tables 1 and 6) is scheduled once — and backed by the
-// persistent ScheduleCache: a warm rerun of the whole paper is served
+// persistent DiskTier: a warm rerun of the whole paper is served
 // from disk. Binding-prefetch cells carry their per-loop latency
 // overrides in the BatchRequest (part of the cache key); memory-system
 // stall cycles are replayed deterministically after the batch.
@@ -76,7 +76,7 @@ struct ReproReport {
   bool smoke = false;
   std::vector<ExperimentResult> experiments;
   /// Batch/cache run metadata (stdout summary only; never in reports).
-  service::ScheduleCache::Stats cache;
+  service::DiskTier::Stats cache;
   int requests = 0;   ///< Deduplicated scheduling requests dispatched.
   int scheduled = 0;  ///< Fresh MirsHC runs.
   int hits = 0;       ///< Requests served from the persistent cache.

@@ -100,24 +100,23 @@ void ThreadPool::ParallelFor(std::size_t n, int max_workers,
 }
 
 // ---------------------------------------------------------------------------
-// SpeculationPool / TaskGroup
+// TaskPool / TaskGroup
 // ---------------------------------------------------------------------------
 
-SpeculationPool& SpeculationPool::Shared() {
-  static SpeculationPool* pool = [] {
-    auto* p = new SpeculationPool();  // leaked: lives for the process
-    obs::GetGauge("spec_pool.workers").Set(p->num_workers());
+TaskPool& TaskPool::Shared() {
+  static TaskPool* pool = [] {
+    auto* p = new TaskPool();  // leaked: lives for the process
+    obs::GetGauge("task_pool.workers").Set(p->num_workers());
     return p;
   }();
   return *pool;
 }
 
-SpeculationPool::SpeculationPool(int threads) {
+TaskPool::TaskPool(int threads) {
   // Default: hardware_concurrency - 1 workers. The submitter participates
   // through TaskGroup::RunAndWait's stealing, so hw-1 workers + the caller
   // saturate the machine without oversubscribing it; on a single-core host
-  // that is 0 workers and racing degrades to in-order inline execution
-  // (above-winner candidates then cancel at entry, costing nothing).
+  // that is 0 workers and every task runs inline on the thread that waits.
   const int n =
       threads >= 0
           ? threads
@@ -126,13 +125,13 @@ SpeculationPool::SpeculationPool(int threads) {
   workers_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     workers_.emplace_back([this, i] {
-      obs::Tracer::SetThreadName("spec-worker-" + std::to_string(i + 1));
+      obs::Tracer::SetThreadName("task-worker-" + std::to_string(i + 1));
       WorkerLoop();
     });
   }
 }
 
-SpeculationPool::~SpeculationPool() {
+TaskPool::~TaskPool() {
   {
     MutexLock lk(mu_);
     stop_ = true;
@@ -141,7 +140,7 @@ SpeculationPool::~SpeculationPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-void SpeculationPool::WorkerLoop() {
+void TaskPool::WorkerLoop() {
   mu_.lock();
   while (true) {
     while (!stop_ && queue_.empty()) work_cv_.Wait(mu_);
@@ -159,11 +158,11 @@ void SpeculationPool::WorkerLoop() {
 }
 
 void TaskGroup::Submit(std::function<void()> fn) {
-  static obs::Counter& tasks = obs::GetCounter("spec_pool.tasks");
+  static obs::Counter& tasks = obs::GetCounter("task_pool.tasks");
   tasks.Add(1);
   {
     MutexLock lk(pool_.mu_);
-    pool_.queue_.push_back(SpeculationPool::Task{this, std::move(fn)});
+    pool_.queue_.push_back(TaskPool::Task{this, std::move(fn)});
     ++pending_;
   }
   pool_.work_cv_.NotifyOne();
@@ -180,7 +179,7 @@ void TaskGroup::RunAndWait() {
       if (it->group == this) break;
     }
     if (it != pool_.queue_.end()) {
-      static obs::Counter& steals = obs::GetCounter("spec_pool.inline_steals");
+      static obs::Counter& steals = obs::GetCounter("task_pool.inline_steals");
       steals.Add(1);
       std::function<void()> fn = std::move(it->fn);
       pool_.queue_.erase(it);

@@ -76,30 +76,33 @@ class ThreadPool {
 
 class TaskGroup;
 
-/// Bounded sub-pool for parallelism *inside* one scheduling request
-/// (speculative II racing). ThreadPool::ParallelFor runs one job at a time
-/// behind a session mutex, so submitting nested work from one of its
-/// workers would deadlock; this pool instead keeps a plain multi-group task
-/// queue that any thread — including a ThreadPool worker or one of its own
-/// workers — may feed through a TaskGroup. Saturation can never deadlock:
-/// a thread waiting on its group steals that group's still-queued tasks and
-/// runs them inline, so a fully busy (or even worker-less) pool degrades to
-/// serial execution on the submitter.
-class SpeculationPool {
+/// Multi-group task queue for work that must not wait behind a
+/// ThreadPool::ParallelFor session. Its two users are the TieredCache's
+/// write-behind disk Puts (process-wide Shared() instance) and the
+/// daemon's connection handlers (a pool the server owns, sized to its
+/// in-flight limit). ThreadPool::ParallelFor runs one job at a time behind
+/// a session mutex, so submitting from one of its workers would deadlock;
+/// this pool instead keeps a plain queue that any thread — including a
+/// ThreadPool worker or one of its own workers — may feed through a
+/// TaskGroup. Saturation can never deadlock: a thread waiting on its group
+/// steals that group's still-queued tasks and runs them inline, so a fully
+/// busy (or even worker-less) pool degrades to serial execution on the
+/// submitter.
+class TaskPool {
  public:
   /// The process-wide pool (hardware_concurrency - 1 workers — the
   /// submitting thread is the remaining lane — lazily started).
-  static SpeculationPool& Shared();
+  static TaskPool& Shared();
 
   /// `threads` = worker-thread count. Unlike ThreadPool, the submitter is
   /// not counted here (it participates through TaskGroup::RunAndWait's
   /// stealing), so 0 is a valid, fully inline configuration; negative
   /// values select the hardware_concurrency - 1 default.
-  explicit SpeculationPool(int threads = -1);
-  ~SpeculationPool();
+  explicit TaskPool(int threads = -1);
+  ~TaskPool();
 
-  SpeculationPool(const SpeculationPool&) = delete;
-  SpeculationPool& operator=(const SpeculationPool&) = delete;
+  TaskPool(const TaskPool&) = delete;
+  TaskPool& operator=(const TaskPool&) = delete;
 
   int num_workers() const { return static_cast<int>(workers_.size()); }
 
@@ -119,7 +122,7 @@ class SpeculationPool {
   std::vector<std::thread> workers_;  ///< Written in ctor/dtor only.
 };
 
-/// One fan-out of concurrent tasks on a SpeculationPool: Submit each task,
+/// One fan-out of concurrent tasks on a TaskPool: Submit each task,
 /// then RunAndWait — the calling thread runs its own still-queued tasks
 /// while waiting, which is what makes nested submission (a pool task that
 /// opens its own TaskGroup) safe at any saturation level. The group must
@@ -127,7 +130,7 @@ class SpeculationPool {
 /// their own group.
 class TaskGroup {
  public:
-  explicit TaskGroup(SpeculationPool& pool) : pool_(pool) {}
+  explicit TaskGroup(TaskPool& pool) : pool_(pool) {}
   ~TaskGroup() { RunAndWait(); }
 
   TaskGroup(const TaskGroup&) = delete;
@@ -142,7 +145,7 @@ class TaskGroup {
   void RunAndWait() HCRF_EXCLUDES(pool_.mu_);
 
  private:
-  friend class SpeculationPool;
+  friend class TaskPool;
 
   /// Completion bookkeeping for a task a pool worker just ran, called with
   /// the worker's pool mutex held. `pending_` is guarded by `pool_.mu_`,
@@ -155,7 +158,7 @@ class TaskGroup {
     if (--pending_ == 0) done_cv_.NotifyAll();
   }
 
-  SpeculationPool& pool_;
+  TaskPool& pool_;
   int pending_ HCRF_GUARDED_BY(pool_.mu_) = 0;  ///< Submitted, unfinished.
   CondVar done_cv_;
 };

@@ -4,7 +4,7 @@
 // graph file plus the machine configuration and options to schedule it
 // under. The batch scheduler loads the requests, dispatches them through
 // the shared perf::ThreadPool, and backs them with the persistent
-// ScheduleCache so repeated sweeps over a corpus skip scheduling entirely.
+// DiskTier cache so repeated sweeps over a corpus skip scheduling entirely.
 //
 // Manifest grammar (one request per line, `#` comments allowed):
 //     hcl 1 manifest
@@ -92,13 +92,6 @@ struct BatchOptions {
   int threads = 0;
   /// Hardware model used when a manifest entry asks for characterization.
   hw::RFModelMode rf_model = hw::RFModelMode::kPaperTable;
-  /// Speculative II racing inside each request (MirsOptions::speculate_k;
-  /// >= 2 races that many candidate IIs on the process SpeculationPool).
-  /// An execution-strategy knob like `threads`, not part of the request:
-  /// schedules are bit-identical either way, so it stays outside the
-  /// cache key and cache entries are shared across modes.
-  int speculate_k = 0;
-  bool speculate_eager = false;
 };
 
 /// Wall-clock decomposition of one request's trip through the service.
@@ -139,7 +132,7 @@ struct BatchReport {
   /// Whole-stack cache counters for this batch (hits from any tier;
   /// misses/writes at the durable boundary). Zeroes when caching is
   /// disabled.
-  ScheduleCache::Stats cache;
+  DiskTier::Stats cache;
   /// Memory-tier counters for this batch; zeroes without `--cache-mem`.
   /// entries/bytes are the residency at batch end, not a delta.
   TierStats mem_cache;

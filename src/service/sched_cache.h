@@ -77,8 +77,4 @@ class DiskTier : public CacheTier {
   std::atomic<long> writes_{0};
 };
 
-/// Historical name: the disk store predates the tier stack, and the batch /
-/// sweep / repro layers (and their tests) refer to it as ScheduleCache.
-using ScheduleCache = DiskTier;
-
 }  // namespace hcrf::service

@@ -43,12 +43,12 @@
 // the next connection must bounce.
 //
 // Concurrency model: accepted connections run as TaskGroup tasks on a
-// SpeculationPool the server owns, sized to `max_inflight` — NOT the
+// TaskPool the server owns, sized to `max_inflight` — NOT the
 // process-shared pool, whose hardware_concurrency - 1 sizing is zero
 // workers on a single-core host (tasks would then only run when the
 // drain path steals them, i.e. never while serving). A dedicated pool
 // guarantees every admitted connection a lane and keeps connection
-// handling out of the speculative-II racing lanes. Handlers schedule
+// handling out of the cache write-behind lanes. Handlers schedule
 // through the shared SchedulerService; concurrent RunBatch calls
 // serialize on the ThreadPool's session mutex, so batches execute back
 // to back while their connections overlap on parsing and serialization.
@@ -78,8 +78,7 @@ struct ServerOptions {
   /// Per-recv timeout: a wedged client cannot hold a slot (or the drain)
   /// hostage forever. 0 = no timeout.
   int read_timeout_ms = 30000;
-  /// The resident session's configuration (cache stack, parallelism,
-  /// speculation).
+  /// The resident session's configuration (cache stack, parallelism).
   ServiceConfig service;
 };
 
@@ -120,7 +119,7 @@ class Server {
   SchedulerService session_;
   /// One worker per admission slot, so an admitted connection always has
   /// a thread even where the shared pools have none (see file comment).
-  perf::SpeculationPool conn_pool_;
+  perf::TaskPool conn_pool_;
   int listen_fd_ = -1;
   /// True only once bind() succeeded, i.e. this process created the
   /// socket file. Gates every unlink: a Start() that lost the bind race

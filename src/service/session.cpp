@@ -16,8 +16,8 @@ namespace {
 namespace fs = std::filesystem;
 
 /// The legacy four-field view of a stack-level TierStats.
-ScheduleCache::Stats StackStats(const TierStats& t) {
-  ScheduleCache::Stats s;
+DiskTier::Stats StackStats(const TierStats& t) {
+  DiskTier::Stats s;
   s.hits = t.hits;
   s.misses = t.misses;
   s.rejects = t.rejects;
@@ -48,8 +48,6 @@ ServiceConfig ServiceConfig::FromBatch(const BatchOptions& opt) {
   c.cache_mem_bytes = opt.cache_mem_bytes;
   c.threads = opt.threads;
   c.rf_model = opt.rf_model;
-  c.speculate_k = opt.speculate_k;
-  c.speculate_eager = opt.speculate_eager;
   return c;
 }
 
@@ -84,7 +82,7 @@ void SchedulerService::Drain() {
   if (cache_) cache_->Drain();
 }
 
-ScheduleCache::Stats SchedulerService::cache_stats() const {
+DiskTier::Stats SchedulerService::cache_stats() const {
   return StackStats(tier_stats());
 }
 
@@ -148,15 +146,6 @@ BatchReport SchedulerService::RunBatch(
     }
     if (!item.cache_hit) {
       core::MirsOptions mirs = req.options;
-      // Execution strategy, not request semantics (see BatchOptions): the
-      // speculative engine commits bit-identical results, and the nested
-      // racing rides the SpeculationPool, so a 1-thread batch still races.
-      // Session-level knob wins when set; otherwise the request's own
-      // value (e.g. from `hcrf_sched schedule --speculate`) stands.
-      if (config_.speculate_k > 0) {
-        mirs.speculate_k = config_.speculate_k;
-        mirs.speculate_eager = config_.speculate_eager;
-      }
       if (req.allow_warm_start && cache != nullptr) {
         // Near-key probe: the closest resident entry for the same loop ×
         // machine (differing options/overrides) seeds the engine, which

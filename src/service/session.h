@@ -2,9 +2,9 @@
 //
 // Before this layer, every front-end call (`RunBatch`, `RunSweep`,
 // `RunExperiments`, each CLI invocation) constructed its own
-// ScheduleCache, read its own flags and flushed its own stats — process
+// disk cache, read its own flags and flushed its own stats — process
 // state lived as locals of one run. A resident daemon inverts that: the
-// cache stack, the parallelism/speculation configuration and the stats
+// cache stack, the parallelism configuration and the stats
 // views are fields of one long-lived SchedulerService, and every request
 // path — one-shot CLI, sweep, repro, the Unix-socket server — schedules
 // through the same session object. One code path, one set of counters,
@@ -16,8 +16,8 @@
 //    borrow it. Per-batch stats are deltas of the stack counters around
 //    the call.
 //  * The worker pools stay process-wide (perf::ThreadPool::Shared(),
-//    perf::SpeculationPool::Shared()); the session only carries the
-//    parallelism cap and speculation knobs applied per batch.
+//    perf::TaskPool::Shared()); the session only carries the parallelism
+//    cap applied per batch.
 //  * Drain() settles the write-behind queue; the destructor drains too.
 //    A one-shot wrapper drains before reporting (exact counters), the
 //    daemon drains on SIGTERM.
@@ -47,16 +47,12 @@ struct ServiceConfig {
   long cache_mem_entries = 0;
   /// Memory-tier byte bound; 0 = the MemoryTier default (64 MiB).
   long cache_mem_bytes = 0;
-  /// Disk writes ride the SpeculationPool (Drain() settles them). Tests
+  /// Disk writes ride the TaskPool (Drain() settles them). Tests
   /// that need deterministic write counts mid-run switch to synchronous.
   bool write_behind = true;
   /// Parallelism cap per batch (0 = hardware concurrency).
   int threads = 0;
   hw::RFModelMode rf_model = hw::RFModelMode::kPaperTable;
-  /// Speculative II racing (MirsOptions::speculate_k) applied to every
-  /// request of every batch when > 0.
-  int speculate_k = 0;
-  bool speculate_eager = false;
 
   static ServiceConfig FromBatch(const BatchOptions& opt);
 };
@@ -96,7 +92,7 @@ class SchedulerService {
   /// Whole-stack counters since session construction, in the legacy
   /// four-field shape (hits from any tier; misses/rejects/writes at the
   /// durable boundary).
-  ScheduleCache::Stats cache_stats() const;
+  DiskTier::Stats cache_stats() const;
   /// Whole-stack counters since session construction.
   TierStats tier_stats() const;
   /// Memory-tier counters since session construction; zeroes when the

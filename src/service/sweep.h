@@ -8,7 +8,7 @@
 // per-cluster register capacities × shared-bank capacities. The executor
 // expands the grid into per-(loop, machine) requests, dispatches them
 // through the batch scheduler (shared perf::ThreadPool + persistent
-// ScheduleCache, so a warm rerun is fully cache-served and the shared MII
+// DiskTier cache, so a warm rerun is fully cache-served and the shared MII
 // cache amortizes across configurations), and aggregates the results into
 // per-organization comparison tables — achieved II vs MII, bound-class
 // breakdown, communication / spill op counts — emitted as CSV and
@@ -125,7 +125,7 @@ struct SweepReport {
   std::vector<std::string> loops;   ///< Workload order.
   std::vector<std::string> skipped; ///< Invalid grid combinations.
   std::vector<SweepCell> cells;     ///< Organization-major, loop-minor.
-  ScheduleCache::Stats cache;       ///< Zeroes when caching is disabled.
+  DiskTier::Stats cache;       ///< Zeroes when caching is disabled.
   int scheduled = 0;
   int hits = 0;
   int failed = 0;

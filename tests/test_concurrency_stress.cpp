@@ -1,7 +1,7 @@
 // Sanitizer-shaped concurrency stress tests.
 //
 // These suites are the TSan gate for the lock-free trace buffers, the
-// sharded metric counters and the SpeculationPool's queue / pending / CV
+// sharded metric counters and the TaskPool's queue / pending / CV
 // machinery: they hammer exactly the cross-thread paths a race would
 // corrupt, with enough iterations for TSan's happens-before engine to see
 // every interleaving class. They run in the normal suite too (the
@@ -86,15 +86,14 @@ TEST(ConcurrencyStress, TraceAndMetricsHammer) {
             static_cast<long>(kEpochs) * kThreads * kSpansPerThread);
 }
 
-// SpeculationPool drain stress with randomized wave shapes and a CAS-min
-// cancellation token shaped like the engine's speculative II racing: every
-// task tries to publish its candidate unless a strictly better one already
-// won. Waves vary task count, candidate distribution and nesting (a task
-// that opens its own TaskGroup on the same pool — the documented
-// saturation-safe pattern), and groups are reused across rounds.
-TEST(ConcurrencyStress, SpeculationPoolCancellationDrain) {
+// TaskPool drain stress with randomized wave shapes and a shared CAS-min
+// result: every task tries to publish its candidate unless a strictly
+// better one already won. Waves vary task count, candidate distribution and
+// nesting (a task that opens its own TaskGroup on the same pool — the
+// documented saturation-safe pattern), and groups are reused across rounds.
+TEST(ConcurrencyStress, TaskPoolRandomWaveDrain) {
   std::mt19937 rng(0xC0FFEEu);
-  perf::SpeculationPool pool(3);  // dedicated pool: also stresses teardown
+  perf::TaskPool pool(3);  // dedicated pool: also stresses teardown
 
   for (int wave = 0; wave < 30; ++wave) {
     const int tasks = 1 + static_cast<int>(rng() % 24);
@@ -109,8 +108,7 @@ TEST(ConcurrencyStress, SpeculationPoolCancellationDrain) {
       expected_min = std::min(expected_min, candidate);
       group.Submit([&pool, &best, &ran, candidate, nested] {
         ran.fetch_add(1, std::memory_order_relaxed);
-        // CAS-min: cancelled (no publish) iff a strictly lower candidate
-        // already won — the SpeculationToken discipline.
+        // CAS-min: no publish iff a strictly lower candidate already won.
         int cur = best.load(std::memory_order_relaxed);
         while (candidate < cur &&
                !best.compare_exchange_weak(cur, candidate,
@@ -136,8 +134,8 @@ TEST(ConcurrencyStress, SpeculationPoolCancellationDrain) {
     EXPECT_EQ(ran.load(std::memory_order_relaxed), tasks);
     EXPECT_EQ(best.load(std::memory_order_relaxed), expected_min);
 
-    // Reuse the drained group for a second round (the engine reuses one
-    // group across II escalation rounds).
+    // Reuse the drained group for a second round (the cache's write-behind
+    // group lives for the whole session).
     std::atomic<int> second{0};
     const int extra = 1 + static_cast<int>(rng() % 8);
     for (int i = 0; i < extra; ++i) {
@@ -151,8 +149,8 @@ TEST(ConcurrencyStress, SpeculationPoolCancellationDrain) {
 
 // A worker-less pool degrades to inline execution on the submitter; the
 // drain logic must not deadlock waiting for workers that do not exist.
-TEST(ConcurrencyStress, SpeculationPoolWorkerlessDrain) {
-  perf::SpeculationPool pool(0);
+TEST(ConcurrencyStress, TaskPoolWorkerlessDrain) {
+  perf::TaskPool pool(0);
   std::atomic<int> ran{0};
   perf::TaskGroup group(pool);
   for (int i = 0; i < 64; ++i) {

@@ -17,7 +17,7 @@ namespace {
 namespace fs = std::filesystem;
 using service::CacheKey;
 using service::MakeCacheKey;
-using service::ScheduleCache;
+using service::DiskTier;
 
 class SchedCacheTest : public ::testing::Test {
  protected:
@@ -44,7 +44,7 @@ TEST_F(SchedCacheTest, HitReturnsBitIdenticalResult) {
   const core::ScheduleResult fresh = core::MirsHC(loop.ddg, m, opt);
   ASSERT_TRUE(fresh.ok);
 
-  ScheduleCache cache(dir_.string());
+  DiskTier cache(dir_.string());
   const CacheKey key = MakeCacheKey(loop.ddg, m, opt);
   EXPECT_FALSE(cache.Get(key).has_value());  // cold
   cache.Put(key, fresh);
@@ -52,7 +52,7 @@ TEST_F(SchedCacheTest, HitReturnsBitIdenticalResult) {
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(io::DumpResult(fresh), io::DumpResult(*hit));
 
-  const ScheduleCache::Stats s = cache.stats();
+  const DiskTier::Stats s = cache.stats();
   EXPECT_EQ(s.hits, 1);
   EXPECT_EQ(s.misses, 1);
   EXPECT_EQ(s.rejects, 0);
@@ -67,10 +67,10 @@ TEST_F(SchedCacheTest, EntriesPersistAcrossCacheInstances) {
   ASSERT_TRUE(fresh.ok);
   const CacheKey key = MakeCacheKey(loop.ddg, m, opt);
   {
-    ScheduleCache writer(dir_.string());
+    DiskTier writer(dir_.string());
     writer.Put(key, fresh);
   }
-  ScheduleCache reader(dir_.string());
+  DiskTier reader(dir_.string());
   const auto hit = reader.Get(key);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(io::DumpResult(fresh), io::DumpResult(*hit));
@@ -83,7 +83,7 @@ TEST_F(SchedCacheTest, CorruptedEntryIsRejectedAndFallsThrough) {
   const core::ScheduleResult fresh = core::MirsHC(loop.ddg, m, opt);
   ASSERT_TRUE(fresh.ok);
 
-  ScheduleCache cache(dir_.string());
+  DiskTier cache(dir_.string());
   const CacheKey key = MakeCacheKey(loop.ddg, m, opt);
   cache.Put(key, fresh);
 
@@ -112,7 +112,7 @@ TEST_F(SchedCacheTest, TruncatedEntryIsRejected) {
   const core::ScheduleResult fresh = core::MirsHC(loop.ddg, m, opt);
   ASSERT_TRUE(fresh.ok);
 
-  ScheduleCache cache(dir_.string());
+  DiskTier cache(dir_.string());
   const CacheKey key = MakeCacheKey(loop.ddg, m, opt);
   cache.Put(key, fresh);
 
@@ -132,7 +132,7 @@ TEST_F(SchedCacheTest, StaleEntryUnderTheWrongKeyIsRejected) {
   const core::ScheduleResult fresh = core::MirsHC(loop.ddg, m, opt);
   ASSERT_TRUE(fresh.ok);
 
-  ScheduleCache cache(dir_.string());
+  DiskTier cache(dir_.string());
   const CacheKey key = MakeCacheKey(loop.ddg, m, opt);
   cache.Put(key, fresh);
 
@@ -221,7 +221,7 @@ TEST_F(SchedCacheTest, PaddedOverrideVectorsKeyIdentically) {
 TEST_F(SchedCacheTest, ScanCountsEntries) {
   const MachineConfig m = MachineConfig::Baseline();
   const core::MirsOptions opt;
-  ScheduleCache cache(dir_.string());
+  DiskTier cache(dir_.string());
   int stored = 0;
   for (const workload::Loop& loop :
        {workload::MakeDaxpy(), workload::MakeDot(), workload::MakeVdiv()}) {
@@ -230,7 +230,7 @@ TEST_F(SchedCacheTest, ScanCountsEntries) {
     cache.Put(MakeCacheKey(loop.ddg, m, opt), r);
     ++stored;
   }
-  const ScheduleCache::DirStats ds = ScheduleCache::Scan(dir_.string());
+  const DiskTier::DirStats ds = DiskTier::Scan(dir_.string());
   EXPECT_EQ(ds.entries, stored);
   EXPECT_GT(ds.bytes, 0);
 }

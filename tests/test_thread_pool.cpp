@@ -58,10 +58,10 @@ TEST(ThreadPool, SharedInstanceIsStable) {
   EXPECT_EQ(n.load(), 10);
 }
 
-TEST(SpeculationPool, WorkerlessPoolRunsEverythingInline) {
+TEST(TaskPool, WorkerlessPoolRunsEverythingInline) {
   // 0 workers is a valid configuration: RunAndWait steals the group's own
   // queued tasks and runs them on the caller, so nothing can hang.
-  SpeculationPool pool(0);
+  TaskPool pool(0);
   EXPECT_EQ(pool.num_workers(), 0);
   std::atomic<int> n{0};
   TaskGroup g(pool);
@@ -70,8 +70,8 @@ TEST(SpeculationPool, WorkerlessPoolRunsEverythingInline) {
   EXPECT_EQ(n.load(), 16);
 }
 
-TEST(SpeculationPool, GroupIsReusableAcrossRounds) {
-  SpeculationPool pool(3);
+TEST(TaskPool, GroupIsReusableAcrossRounds) {
+  TaskPool pool(3);
   std::atomic<long> total{0};
   TaskGroup g(pool);
   for (int round = 0; round < 40; ++round) {
@@ -81,11 +81,11 @@ TEST(SpeculationPool, GroupIsReusableAcrossRounds) {
   EXPECT_EQ(total.load(), 40L * 8);
 }
 
-TEST(SpeculationPool, NestedGroupsNeverDeadlock) {
+TEST(TaskPool, NestedGroupsNeverDeadlock) {
   // More live groups than workers: every outer task opens its own inner
   // group while all workers are already busy running outer tasks. The
   // inner RunAndWait must make progress by stealing its own queued tasks.
-  SpeculationPool pool(2);
+  TaskPool pool(2);
   std::atomic<int> inner_runs{0};
   TaskGroup outer(pool);
   for (int i = 0; i < 6; ++i) {
@@ -99,10 +99,10 @@ TEST(SpeculationPool, NestedGroupsNeverDeadlock) {
   EXPECT_EQ(inner_runs.load(), 6 * 4);
 }
 
-TEST(SpeculationPool, CallerHelpsUnderSaturation) {
+TEST(TaskPool, CallerHelpsUnderSaturation) {
   // Far more tasks than workers; the submitter must chew through the
   // backlog itself instead of blocking until workers get around to it.
-  SpeculationPool pool(1);
+  TaskPool pool(1);
   std::atomic<int> n{0};
   TaskGroup g(pool);
   for (int i = 0; i < 200; ++i) g.Submit([&] { ++n; });
@@ -110,9 +110,9 @@ TEST(SpeculationPool, CallerHelpsUnderSaturation) {
   EXPECT_EQ(n.load(), 200);
 }
 
-TEST(SpeculationPool, SharedInstanceIsStable) {
-  SpeculationPool& a = SpeculationPool::Shared();
-  SpeculationPool& b = SpeculationPool::Shared();
+TEST(TaskPool, SharedInstanceIsStable) {
+  TaskPool& a = TaskPool::Shared();
+  TaskPool& b = TaskPool::Shared();
   EXPECT_EQ(&a, &b);
   std::atomic<int> n{0};
   TaskGroup g(a);
@@ -121,8 +121,8 @@ TEST(SpeculationPool, SharedInstanceIsStable) {
   EXPECT_EQ(n.load(), 10);
 }
 
-TEST(SpeculationPool, DestructorDrainsOutstandingTasks) {
-  SpeculationPool pool(2);
+TEST(TaskPool, DestructorDrainsOutstandingTasks) {
+  TaskPool pool(2);
   std::atomic<int> n{0};
   {
     TaskGroup g(pool);

@@ -154,5 +154,41 @@ TEST(WarmStartTest, IdenticalSeedIsAcceptedAtItsII) {
   EXPECT_TRUE(v.ok) << v.error;
 }
 
+// Regression: hardening a load of synth-stream-46 on the hierarchical
+// proposal made the seeded repair cascade undo a communication chain whose
+// endpoint the cascade had already garbage-collected, aborting the process
+// in DDG::AddEdge. Every load of the pair is hardened in turn; each warm
+// result must validate or be a counted fallback to the cold path.
+TEST(WarmStartTest, HardeningEveryLoadOfSeededChainPairNeverAborts) {
+  const workload::Suite& synth = workload::SharedSyntheticSuite();
+  const DDG* ddg = nullptr;
+  for (size_t i = 0; i < synth.size(); ++i) {
+    if (synth[i].ddg.name() == "synth-stream-46") ddg = &synth[i].ddg;
+  }
+  ASSERT_NE(ddg, nullptr);
+  const MachineConfig m = OrgMachine("4C16S64/2-1");
+  core::MirsOptions opt;
+  const auto base =
+      std::make_shared<const core::ScheduleResult>(core::MirsHC(*ddg, m, opt));
+  ASSERT_TRUE(base->ok);
+  opt.warm_start = base;
+
+  int loads = 0;
+  for (NodeId v = 0; v < ddg->NumSlots(); ++v) {
+    if (!ddg->IsAlive(v) || ddg->node(v).op != OpClass::kLoad) continue;
+    ++loads;
+    const std::string what = "load " + std::to_string(v);
+    const core::ScheduleResult warm =
+        core::MirsHC(*ddg, m, opt, HardenLoad(*ddg, v, m));
+    EXPECT_TRUE(warm.warm.attempted) << what;
+    EXPECT_NE(warm.warm.used, warm.warm.fallback) << what;
+    ASSERT_TRUE(warm.ok) << what;
+    const sched::ValidationResult vr =
+        sched::Validate(warm.graph, warm.schedule, m, warm.overrides);
+    EXPECT_TRUE(vr.ok) << what << ": " << vr.error;
+  }
+  EXPECT_GT(loads, 0);
+}
+
 }  // namespace
 }  // namespace hcrf
