@@ -57,14 +57,14 @@ struct MirsOptions {
   /// / spill deltas (sched/pressure_tracker.h) and an indexed priority
   /// pick. false selects the reference path (full ComputePressure at every
   /// spill check, linear priority scan) — schedules are bit-identical
-  /// either way; `hcrf_sched bench` runs both and asserts it.
+  /// either way (PressureTrackerEngine.BitIdenticalSchedules asserts it).
   bool incremental = true;
   ClusterPolicy cluster_policy = ClusterPolicy::kBalanced;
 
   // ---- policy-layer hooks (null = defaults from the enums above) -------
   /// Creates the per-run cluster selector; overrides `cluster_policy` when
   /// set. A factory (not an instance) so one MirsOptions value can be
-  /// shared across the parallel suite runner's concurrent runs.
+  /// shared across the concurrent runs of a parallel batch.
   ClusterSelectorFactory cluster_selector;
   /// Node-ordering policy (default: HRMS ordering).
   std::shared_ptr<const NodeOrderPolicy> ordering;
@@ -74,7 +74,7 @@ struct MirsOptions {
   /// must outlive the MirsHC call. Callbacks run on the scheduling thread.
   EventSink* event_sink = nullptr;
 
-  /// Precomputed MII of the loop (the suite runner's sweep cache); when
+  /// Precomputed MII of the loop (the batch path's sweep cache); when
   /// set, the engine skips its own ComputeMII. Must match the loop/machine.
   std::optional<MIIInfo> precomputed_mii;
 

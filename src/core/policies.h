@@ -10,8 +10,8 @@
 //
 // Selectors may keep per-run state (round-robin's counter); the engine
 // creates one instance per MirsHC run from a factory, so a MirsOptions
-// value holding a factory stays shareable across threads (the parallel
-// suite runner copies one RunOptions into many concurrent runs).
+// value holding a factory stays shareable across threads (a batch
+// schedules many requests with the same options concurrently).
 #pragma once
 
 #include <cstdint>

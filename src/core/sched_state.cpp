@@ -37,7 +37,7 @@ void SchedState::Reset(const DDG& original,
   incremental = use_incremental;
   // On small graphs the linear scan beats the heap's push/pop-per-event
   // bookkeeping (eject churn floods the heap with lazy entries); 96 slots
-  // is comfortably past the crossover measured by `hcrf_sched bench`.
+  // is comfortably past the measured crossover.
   indexed_pick = incremental && g.NumSlots() > 96;
   pick_heap_ = {};
   // Pressure is only ever consulted for bounded banks (the spill engine

@@ -47,9 +47,8 @@ struct SchedState {
   /// caller (engine driver) fills in priorities and the unscheduled set
   /// from its ordering policy. `incremental` selects the incremental
   /// pressure tracker + indexed priority pick; false is the reference path
-  /// (full ComputePressure per spill check, linear priority scan) that
-  /// `hcrf_sched bench` runs to prove both produce bit-identical
-  /// schedules.
+  /// (full ComputePressure per spill check, linear priority scan) that the
+  /// tests run to prove both produce bit-identical schedules.
   void Reset(const DDG& original, const sched::LatencyOverrides& base, int ii,
              bool use_incremental = true);
 

@@ -248,7 +248,7 @@ ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
   service::SchedulerService session(config);
   ReproReport report = RunExperiments(selection, opt, session);
   session.Drain();
-  if (session.has_cache()) report.cache = session.cache_stats();
+  if (session.has_cache()) report.cache = session.tier_stats();
   return report;
 }
 

@@ -37,7 +37,8 @@ struct ReproOptions {
   long cache_mem_entries = 0;
   /// Memory-tier byte bound; 0 = the MemoryTier default.
   long cache_mem_bytes = 0;
-  /// Parallelism (perf::RunOptions convention: 0 = hardware concurrency).
+  /// Parallelism cap of the batch (BatchOptions::threads: 0 = hardware
+  /// concurrency, 1 = strictly serial on the caller).
   int threads = 0;
   /// Run each experiment on its bounded smoke slice instead of the full
   /// workload. Workload-dependent reference values are reported but not
@@ -76,7 +77,7 @@ struct ReproReport {
   bool smoke = false;
   std::vector<ExperimentResult> experiments;
   /// Batch/cache run metadata (stdout summary only; never in reports).
-  service::DiskTier::Stats cache;
+  service::TierStats cache;
   int requests = 0;   ///< Deduplicated scheduling requests dispatched.
   int scheduled = 0;  ///< Fresh MirsHC runs.
   int hits = 0;       ///< Requests served from the persistent cache.

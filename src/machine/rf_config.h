@@ -58,7 +58,7 @@ struct RFConfig {
   /// The paper does not publish nb; we default to max(1, x/2), which
   /// reproduces Table 1's qualitative effect (clustering converts
   /// compute-bound loops into communication-bound ones). Exposed as an
-  /// ablation knob (see bench/ablation_cluster_sel).
+  /// ablation knob (the `ablation_buses` experiment, `hcrf_sched repro`).
   int buses = 0;
 
   RFKind Kind() const;

@@ -16,7 +16,6 @@ SuiteMetrics Aggregate(const std::vector<LoopMetrics>& loops) {
     s.stall_cycles += lm.stall_cycles;
     s.mem_traffic += lm.mem_traffic;
     s.ops_executed += lm.ops_executed;
-    s.sched_seconds += lm.sched_seconds;
     s.ejections += lm.ejections;
     s.spills_inserted += lm.spills_inserted;
     s.ii_restarts += lm.ii_restarts;

@@ -1,67 +1,33 @@
-// Suite runner: schedules every loop of a workload on a machine
-// configuration and aggregates the paper's metrics.
+// Post-scheduling metrics and the process-wide MII sweep cache.
 //
-// Scheduling is embarrassingly parallel across loops; the runner feeds the
-// suite through the shared ThreadPool's work queue (thread_pool.h) instead
-// of spawning threads per call. Multi-configuration sweeps (the tables /
-// figures benches call RunSuite once per RF organization over the same
-// suite) additionally reuse each loop's MII: the bound depends only on the
+// Schedules come from service::SchedulerService::RunBatch (the one batch
+// path: parallel over the shared ThreadPool, cache-backed). This header
+// turns each result into the paper's per-loop metrics and holds the MII
+// memo RunBatch consults before scheduling: the bound depends only on the
 // graph, the latency table and the global FU / memory-port counts, all of
-// which are shared across the RF organizations of one sweep, so the
-// process-wide cache turns the per-configuration ComputeMII into a hash
-// lookup.
+// which are shared across the RF organizations of a design-space sweep,
+// so the cache turns the per-configuration ComputeMII into a hash lookup.
 #pragma once
 
-#include <vector>
-
 #include "ddg/mii.h"
-#include "memsim/prefetch.h"
 #include "perf/metrics.h"
 #include "sched/lifetime.h"
 #include "workload/workload.h"
 
 namespace hcrf::perf {
 
-struct RunOptions {
-  core::MirsOptions mirs;
-  memsim::PrefetchMode prefetch = memsim::PrefetchMode::kNone;
-  /// Simulate the cache to obtain stall cycles (Figure 6's real-memory
-  /// scenario); otherwise stalls are 0 (ideal memory).
-  bool simulate_memory = false;
-  /// Parallelism of one RunSuite call (including the calling thread);
-  /// 0 = hardware concurrency, 1 = strictly serial. Widths beyond the
-  /// shared pool's size are clamped to it (the pool never oversubscribes
-  /// the machine; scheduling is CPU-bound).
-  int threads = 0;
-  /// Reuse per-loop MII computations across RunSuite calls (safe: the
-  /// cache key covers everything the MII depends on). Disable to measure
-  /// cold-start scheduling times.
-  bool reuse_mii_cache = true;
-};
-
-/// Per-loop results, in suite order.
-std::vector<LoopMetrics> RunSuiteDetailed(const workload::Suite& suite,
-                                          const MachineConfig& m,
-                                          const RunOptions& opt = {});
-
 /// Derives a loop's metrics from an already-computed schedule: the
 /// Section 2.3 formulas (useful cycles, memory traffic, ops executed) plus
-/// the memory-simulation stall cycles when `simulate_memory` is set. This
-/// is the post-scheduling half of the suite runner, shared with the
-/// experiment layer, which obtains its ScheduleResults through the
-/// cache-backed batch service instead of fresh MirsHC calls (a cache-served
-/// result yields metrics bit-identical to a fresh one). `sched_seconds` is
-/// left zero — wall time is the caller's to attribute.
+/// the memory-simulation stall cycles (Figure 6's real-memory scenario)
+/// when `simulate_memory` is set; otherwise stalls are 0 (ideal memory).
+/// A cache-served result yields metrics bit-identical to a fresh one.
 LoopMetrics MetricsFromResult(const workload::Loop& loop,
                               const MachineConfig& m,
                               const core::ScheduleResult& result,
                               bool simulate_memory = false);
 
-SuiteMetrics RunSuite(const workload::Suite& suite, const MachineConfig& m,
-                      const RunOptions& opt = {});
-
 /// Counters of the process-wide MII sweep cache (observability for the
-/// benches and the sweep service; hits mean a configuration skipped
+/// sweep service and the benchmark; hits mean a configuration skipped
 /// ComputeMII). `entries` is the current resident count, `evictions` how
 /// many entries the size cap pushed out.
 struct MiiCacheStats {
@@ -76,7 +42,7 @@ MiiCacheStats GetMiiCacheStats();
 /// long-lived sweep service would otherwise grow it without bound; beyond
 /// the cap the oldest entry is evicted (FIFO). Returns the previous cap.
 /// The default (4096) comfortably holds every (suite x latency-table)
-/// combination of the paper benches.
+/// combination of the paper reproduction.
 long SetMiiCacheCapacity(long max_entries);
 
 /// Shared MII sweep-cache lookup: returns the memoized MII of (g, m,

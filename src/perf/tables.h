@@ -22,7 +22,7 @@ class Table {
 
   /// Formats a double with `prec` decimals.
   static std::string Num(double v, int prec = 3);
-  /// Formats "measured (paper X)" pairs used throughout the benches.
+  /// Formats "measured (paper X)" pairs for paper-comparison tables.
   static std::string VsPaper(double measured, double paper, int prec = 3);
 
  private:

@@ -23,8 +23,8 @@ ThreadPool::ThreadPool(int threads) {
           ? threads
           : static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
   // The calling thread participates in every job, so n workers give n+1-way
-  // parallelism; keep the worker count at n-1 to match the historical
-  // "threads" semantics of RunOptions.
+  // parallelism; keep the worker count at n-1 so `threads` counts the
+  // caller, as BatchOptions::threads does.
   workers_.reserve(static_cast<size_t>(std::max(0, n - 1)));
   for (int i = 0; i < n - 1; ++i) {
     workers_.emplace_back([this, i] {

@@ -1,12 +1,12 @@
-// Shared worker pool for the suite runner.
+// Shared worker pool for the batch path.
 //
-// The paper-reproduction benches run dozens of multi-configuration sweeps
-// per process, each previously spawning (and joining) hardware_concurrency
-// threads. This pool starts its workers once and feeds them a work queue;
-// ParallelFor distributes item indices through an atomic cursor, the
-// calling thread participates, and `max_workers` caps the parallelism of
-// one call (1 = strictly serial on the caller, preserving the serial
-// debugging path).
+// Its one user is service::SchedulerService::RunBatch, which every
+// scheduling front end (run, sweep, repro, the daemon) goes through. A
+// process runs many batches, so the pool starts its workers once and
+// feeds them a work queue; ParallelFor distributes item indices through an
+// atomic cursor, the calling thread participates, and `max_workers` caps
+// the parallelism of one call (1 = strictly serial on the caller,
+// preserving the serial debugging path).
 //
 // Lock discipline (machine-checked under clang -Wthread-safety): `mu_`
 // guards the job slot and the stop flag; `session_mu_` serializes whole

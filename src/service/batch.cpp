@@ -122,7 +122,7 @@ BatchReport RunBatch(const std::vector<BatchRequest>& requests,
   BatchReport report = session.RunBatch(requests);
   session.Drain();
   if (session.has_cache()) {
-    report.cache = session.cache_stats();
+    report.cache = session.tier_stats();
     report.mem_cache = session.memory_stats();
   }
   return report;
@@ -134,7 +134,7 @@ BatchReport RunManifest(const std::string& manifest_path,
   BatchReport report = session.RunManifest(manifest_path);
   session.Drain();
   if (session.has_cache()) {
-    report.cache = session.cache_stats();
+    report.cache = session.tier_stats();
     report.mem_cache = session.memory_stats();
   }
   return report;

@@ -15,7 +15,7 @@
 // manifest's directory. `rf` names a paper-notation RF organization that
 // is applied to baseline resources and, unless `characterize 0`, run
 // through the hardware model (hw::ApplyCharacterization) exactly as the
-// benches do; `machine` loads a full `hcl 1 machine` document instead and
+// experiments do; `machine` loads a full `hcl 1 machine` document instead and
 // is mutually exclusive with `rf`/`characterize`.
 #pragma once
 
@@ -87,7 +87,7 @@ struct BatchOptions {
   long cache_mem_entries = 0;
   /// Memory-tier byte bound; 0 = the MemoryTier default (64 MiB).
   long cache_mem_bytes = 0;
-  /// Parallelism (perf::RunOptions convention: 0 = hardware concurrency,
+  /// Parallelism of the shared ThreadPool (0 = hardware concurrency,
   /// 1 = strictly serial on the caller).
   int threads = 0;
   /// Hardware model used when a manifest entry asks for characterization.
@@ -130,9 +130,10 @@ struct BatchItem {
 struct BatchReport {
   std::vector<BatchItem> items;  ///< In request order.
   /// Whole-stack cache counters for this batch (hits from any tier;
-  /// misses/writes at the durable boundary). Zeroes when caching is
+  /// misses/rejects/writes at the durable boundary; entries/bytes are the
+  /// memory tier's residency at batch end). Zeroes when caching is
   /// disabled.
-  DiskTier::Stats cache;
+  TierStats cache;
   /// Memory-tier counters for this batch; zeroes without `--cache-mem`.
   /// entries/bytes are the residency at batch end, not a delta.
   TierStats mem_cache;

@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "io/hcl.h"
 
@@ -16,35 +17,6 @@ namespace {
 
 [[noreturn]] void FailErrno(const std::string& what) {
   throw std::runtime_error(what + ": " + std::strerror(errno));
-}
-
-/// Reads the `hcrf 1 <verb> ...` reply line; throws on EOF.
-std::vector<std::string> ReadReplyLine(wire::Conn& conn) {
-  std::string line;
-  if (!conn.ReadLine(&line)) {
-    throw wire::WireError("connection closed before a reply");
-  }
-  std::vector<std::string> toks = wire::SplitTokens(line);
-  if (toks.size() < 3 || toks[0] != "hcrf" || toks[1] != "1") {
-    throw wire::WireError("bad reply line: " + line);
-  }
-  return toks;
-}
-
-/// Decodes the replies every verb can get: `busy` (returns true) and
-/// `error <bytes>` (throws with the server's message).
-bool HandleCommonReply(wire::Conn& conn, const std::vector<std::string>& toks) {
-  if (toks[2] == "busy") return true;
-  if (toks[2] == "error" && toks.size() == 4) {
-    const std::optional<long> bytes = io::TryParseLong(toks[3]);
-    if (bytes && *bytes >= 0 && *bytes <= wire::kMaxPayloadBytes) {
-      std::string message;
-      conn.ReadExact(static_cast<std::size_t>(*bytes), &message);
-      throw std::runtime_error("server error: " + message);
-    }
-    throw wire::WireError("bad error reply byte count");
-  }
-  return false;
 }
 
 /// Reads the sized payload of a `hcrf 1 <verb> <bytes>` reply.
@@ -65,6 +37,41 @@ std::string ReadReplyPayload(wire::Conn& conn,
 }
 
 }  // namespace
+
+std::vector<std::string> Exchange(wire::Conn& conn, const std::string& request,
+                                  const std::function<void()>& body) {
+  const bool sent = conn.WriteAll("hcrf 1 " + request + "\n");
+  if (sent && body) body();
+  std::string line;
+  bool got = false;
+  try {
+    got = conn.ReadLine(&line);
+  } catch (const wire::WireError&) {
+    if (sent) throw;  // a reply was due and arrived broken
+  }
+  if (!got) {
+    if (!sent) {
+      throw std::runtime_error("submit: connection lost sending '" + request +
+                               "'");
+    }
+    throw wire::WireError("connection closed before a reply");
+  }
+  std::vector<std::string> toks = wire::SplitTokens(line);
+  if (toks.size() < 3 || toks[0] != "hcrf" || toks[1] != "1") {
+    throw wire::WireError("bad reply line: " + line);
+  }
+  if (toks[2] == "error") {
+    const std::optional<long> bytes =
+        toks.size() == 4 ? io::TryParseLong(toks[3]) : std::nullopt;
+    if (!bytes || *bytes < 0 || *bytes > wire::kMaxPayloadBytes) {
+      throw wire::WireError("bad error reply byte count");
+    }
+    std::string message;
+    conn.ReadExact(static_cast<std::size_t>(*bytes), &message);
+    throw std::runtime_error("server error: " + message);
+  }
+  return toks;
+}
 
 Client::Client(std::string socket_path, int read_timeout_ms)
     : socket_path_(std::move(socket_path)),
@@ -99,11 +106,8 @@ int Client::Connect() const {
 
 bool Client::Ping() {
   wire::Conn conn(Connect());
-  if (!conn.WriteAll("hcrf 1 ping\n")) {
-    throw std::runtime_error("submit: connection lost while pinging");
-  }
-  const std::vector<std::string> toks = ReadReplyLine(conn);
-  if (HandleCommonReply(conn, toks)) return false;
+  const std::vector<std::string> toks = Exchange(conn, "ping");
+  if (toks[2] == "busy") return false;
   if (toks[2] != "ok") throw wire::WireError("unexpected ping reply");
   return true;
 }
@@ -122,21 +126,19 @@ SubmitReply Client::SubmitVerb(const std::string& verb,
     throw wire::WireError("batch exceeds the protocol request cap");
   }
   wire::Conn conn(Connect());
-  if (!conn.WriteAll("hcrf 1 " + verb + " " + std::to_string(requests.size()) +
-                     "\n")) {
-    throw std::runtime_error(verb + ": connection lost while submitting");
-  }
-  for (const BatchRequest& req : requests) {
-    if (verb == "delta") {
-      wire::WriteDeltaRequest(conn, req);
-    } else {
-      wire::WriteRequest(conn, req);
-    }
-  }
+  const std::vector<std::string> toks =
+      Exchange(conn, verb + " " + std::to_string(requests.size()), [&] {
+        for (const BatchRequest& req : requests) {
+          if (verb == "delta") {
+            wire::WriteDeltaRequest(conn, req);
+          } else {
+            wire::WriteRequest(conn, req);
+          }
+        }
+      });
 
   SubmitReply reply;
-  const std::vector<std::string> toks = ReadReplyLine(conn);
-  if (HandleCommonReply(conn, toks)) {
+  if (toks[2] == "busy") {
     reply.busy = true;
     return reply;
   }
@@ -158,32 +160,18 @@ SubmitReply Client::SubmitVerb(const std::string& verb,
   return reply;
 }
 
-std::string Client::Stats() {
-  wire::Conn conn(Connect());
-  if (!conn.WriteAll("hcrf 1 stats\n")) {
-    throw std::runtime_error("submit: connection lost requesting stats");
-  }
-  const std::vector<std::string> toks = ReadReplyLine(conn);
-  if (HandleCommonReply(conn, toks)) {
-    throw std::runtime_error("server busy; stats unavailable");
-  }
-  if (toks[2] != "stats") {
-    throw wire::WireError("unexpected stats reply verb: " + toks[2]);
-  }
-  return ReadReplyPayload(conn, toks);
-}
+std::string Client::Stats() { return Query("stats"); }
 
-std::string Client::CacheStats() {
+std::string Client::CacheStats() { return Query("cache-stats"); }
+
+std::string Client::Query(const std::string& verb) {
   wire::Conn conn(Connect());
-  if (!conn.WriteAll("hcrf 1 cache-stats\n")) {
-    throw std::runtime_error("submit: connection lost requesting stats");
+  const std::vector<std::string> toks = Exchange(conn, verb);
+  if (toks[2] == "busy") {
+    throw std::runtime_error("server busy; " + verb + " unavailable");
   }
-  const std::vector<std::string> toks = ReadReplyLine(conn);
-  if (HandleCommonReply(conn, toks)) {
-    throw std::runtime_error("server busy; cache-stats unavailable");
-  }
-  if (toks[2] != "cache-stats") {
-    throw wire::WireError("unexpected cache-stats reply verb: " + toks[2]);
+  if (toks[2] != verb) {
+    throw wire::WireError("unexpected " + verb + " reply verb: " + toks[2]);
   }
   return ReadReplyPayload(conn, toks);
 }

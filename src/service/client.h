@@ -10,6 +10,7 @@
 // same contract as service::RunBatch.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,17 @@ struct SubmitReply {
   bool busy = false;  ///< Server saturated; no items. Back off and retry.
   std::vector<wire::ReplyItem> items;  ///< In request order.
 };
+
+/// One request/reply exchange on a connected socket: writes the request
+/// line `hcrf 1 <request>`, then `body` (a submission's request blocks),
+/// and returns the tokens of the reply line. An `error` reply throws with
+/// the server's message; `busy` is returned for the caller to decide.
+/// A daemon at capacity answers `busy` and closes without reading, so the
+/// write can fail (EPIPE) while that reply is already queued on this end:
+/// a failed write throws ("connection lost") only when no reply line
+/// follows. Every Client verb goes through this.
+std::vector<std::string> Exchange(wire::Conn& conn, const std::string& request,
+                                  const std::function<void()>& body = {});
 
 class Client {
  public:
@@ -64,6 +76,8 @@ class Client {
   /// reply.
   SubmitReply SubmitVerb(const std::string& verb,
                          const std::vector<BatchRequest>& requests);
+  /// Stats/CacheStats body: `verb`, then its sized payload reply.
+  std::string Query(const std::string& verb);
 
   std::string socket_path_;
   int read_timeout_ms_;

@@ -15,16 +15,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// The legacy four-field view of a stack-level TierStats.
-DiskTier::Stats StackStats(const TierStats& t) {
-  DiskTier::Stats s;
-  s.hits = t.hits;
-  s.misses = t.misses;
-  s.rejects = t.rejects;
-  s.writes = t.writes;
-  return s;
-}
-
 TierStats FlowDelta(const TierStats& after, const TierStats& before) {
   TierStats d = after;
   d.hits -= before.hits;
@@ -80,10 +70,6 @@ SchedulerService::~SchedulerService() { Drain(); }
 
 void SchedulerService::Drain() {
   if (cache_) cache_->Drain();
-}
-
-DiskTier::Stats SchedulerService::cache_stats() const {
-  return StackStats(tier_stats());
 }
 
 TierStats SchedulerService::tier_stats() const {
@@ -215,7 +201,7 @@ BatchReport SchedulerService::RunBatch(
     // Per-batch deltas of the session-lifetime counters. With write-behind
     // on, disk `writes` queued by this batch may still be in flight; the
     // one-shot wrappers Drain() and re-snapshot for exact totals.
-    report.cache = StackStats(FlowDelta(tier_stats(), stack_before));
+    report.cache = FlowDelta(tier_stats(), stack_before);
     report.mem_cache = FlowDelta(memory_stats(), mem_before);
   }
   return report;

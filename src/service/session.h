@@ -89,11 +89,8 @@ class SchedulerService {
   MemoryTier* memory_tier() { return memory_; }
   DiskTier* disk_tier() { return disk_; }
 
-  /// Whole-stack counters since session construction, in the legacy
-  /// four-field shape (hits from any tier; misses/rejects/writes at the
-  /// durable boundary).
-  DiskTier::Stats cache_stats() const;
-  /// Whole-stack counters since session construction.
+  /// Whole-stack counters since session construction (hits from any
+  /// tier; misses/rejects/writes at the durable boundary).
   TierStats tier_stats() const;
   /// Memory-tier counters since session construction; zeroes when the
   /// memory tier is not configured.

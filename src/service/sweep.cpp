@@ -355,7 +355,7 @@ SweepReport RunSweep(const SweepSpec& spec, const std::string& base_dir,
   SchedulerService session(config);
   SweepReport report = RunSweep(spec, base_dir, session);
   session.Drain();
-  if (session.has_cache()) report.cache = session.cache_stats();
+  if (session.has_cache()) report.cache = session.tier_stats();
   return report;
 }
 

@@ -98,7 +98,8 @@ struct SweepOptions {
   long cache_mem_entries = 0;
   /// Memory-tier byte bound; 0 = the MemoryTier default.
   long cache_mem_bytes = 0;
-  /// Parallelism (perf::RunOptions convention: 0 = hardware concurrency).
+  /// Parallelism cap of the batch (BatchOptions::threads: 0 = hardware
+  /// concurrency, 1 = strictly serial on the caller).
   int threads = 0;
   hw::RFModelMode rf_model = hw::RFModelMode::kPaperTable;
 };
@@ -125,7 +126,7 @@ struct SweepReport {
   std::vector<std::string> loops;   ///< Workload order.
   std::vector<std::string> skipped; ///< Invalid grid combinations.
   std::vector<SweepCell> cells;     ///< Organization-major, loop-minor.
-  DiskTier::Stats cache;       ///< Zeroes when caching is disabled.
+  TierStats cache;                  ///< Zeroes when caching is disabled.
   int scheduled = 0;
   int hits = 0;
   int failed = 0;

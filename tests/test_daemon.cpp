@@ -268,5 +268,45 @@ TEST_F(DaemonTest, StopDrainsWriteBehindAndUnlinksSocket) {
   EXPECT_FALSE(fs::exists(SocketPath()));
 }
 
+// A saturated daemon writes `busy` and closes without reading the
+// request. When that close lands before the client writes, the write
+// fails (EPIPE) although the reply is already queued on the client's end:
+// the exchange must still read it instead of reporting a lost connection.
+// A socketpair fixes that ordering, which a live daemon only hits by
+// chance.
+TEST(ClientExchange, BusyReplyQueuedBeforeAFailedWriteIsStillRead) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const std::string busy = "hcrf 1 busy\n";
+  ASSERT_EQ(::write(fds[1], busy.data(), busy.size()),
+            static_cast<ssize_t>(busy.size()));
+  ::close(fds[1]);
+
+  service::wire::Conn conn(fds[0]);
+  ASSERT_FALSE(conn.WriteAll("probe\n"));  // the peer is gone: EPIPE
+  bool body_ran = false;
+  const std::vector<std::string> toks =
+      service::Exchange(conn, "submit 1", [&] { body_ran = true; });
+  ASSERT_EQ(toks.size(), 3u);
+  EXPECT_EQ(toks[2], "busy");
+  EXPECT_FALSE(body_ran);  // nothing to send the blocks to
+}
+
+// Without a queued reply, a failed write is a lost connection.
+TEST(ClientExchange, FailedWriteWithoutAReplyIsAConnectionLoss) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ::close(fds[1]);
+  service::wire::Conn conn(fds[0]);
+  try {
+    service::Exchange(conn, "ping");
+    FAIL() << "expected the exchange to throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("connection lost"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace hcrf

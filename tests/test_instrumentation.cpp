@@ -157,13 +157,17 @@ TEST(Instrumentation, SuiteMetricsAggregateSchedulerCounters) {
   workload::SynthParams p;
   p.num_loops = 40;
   const workload::Suite suite = workload::PerfectSynthetic(p);
-  const perf::SuiteMetrics sm = perf::RunSuite(suite, m);
+  std::vector<perf::LoopMetrics> det;
+  for (size_t i = 0; i < suite.size(); ++i) {
+    det.push_back(
+        perf::MetricsFromResult(suite[i], m, MirsHC(suite[i].ddg, m)));
+  }
+  const perf::SuiteMetrics sm = perf::Aggregate(det);
   EXPECT_GT(sm.ejections, 0);
   EXPECT_GT(sm.ii_restarts, 0);
   EXPECT_GT(sm.budget_spent, 0.0);
 
   // The aggregate equals the sum of the per-loop metrics.
-  const auto det = perf::RunSuiteDetailed(suite, m);
   long ej = 0;
   long rs = 0;
   for (const auto& lm : det) {

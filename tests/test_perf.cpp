@@ -1,33 +1,41 @@
 // Tests of the performance-metric layer: the paper's formulas, the
-// aggregation, and the parallel suite runner's determinism.
+// aggregation, the real-memory and prefetch stall accounting, and the MII
+// sweep cache.
 #include <gtest/gtest.h>
 
+#include "memsim/prefetch.h"
 #include "perf/runner.h"
 #include "perf/tables.h"
 #include "workload/kernels.h"
-#include "workload/perfect_synth.h"
 
 namespace hcrf::perf {
 namespace {
+
+/// Schedules `loop` on `m` (with the binding-prefetch overrides of
+/// `prefetch`) and derives its metrics.
+LoopMetrics ScheduleMetrics(const workload::Loop& loop, const MachineConfig& m,
+                            bool simulate_memory,
+                            memsim::PrefetchMode prefetch =
+                                memsim::PrefetchMode::kNone) {
+  const sched::LatencyOverrides overrides =
+      memsim::ClassifyBindingPrefetch(loop.ddg, m, loop.trip, prefetch);
+  const core::ScheduleResult sr = core::MirsHC(loop.ddg, m, {}, overrides);
+  return MetricsFromResult(loop, m, sr, simulate_memory);
+}
 
 TEST(Metrics, ExecCycleFormula) {
   // ExecCycles = II*(N + (SC-1)*E) + Stall.
   const MachineConfig m = MachineConfig::Baseline();
   workload::Loop loop = workload::MakeVadd(100);
   loop.invocations = 3;
-  RunOptions opt;
-  opt.threads = 1;
-  workload::Suite suite;
-  suite.Add(loop);
-  const auto det = RunSuiteDetailed(suite, m, opt);
-  ASSERT_EQ(det.size(), 1u);
-  ASSERT_TRUE(det[0].ok);
-  const long expected = static_cast<long>(det[0].ii) *
-                        (300 + static_cast<long>(det[0].sc - 1) * 3);
-  EXPECT_EQ(det[0].useful_cycles, expected);
-  EXPECT_EQ(det[0].stall_cycles, 0);  // ideal memory by default
-  EXPECT_EQ(det[0].mem_traffic, 300L * det[0].trf);
-  EXPECT_EQ(det[0].trf, 3);  // 2 loads + 1 store, no spill on S128
+  const LoopMetrics lm = ScheduleMetrics(loop, m, /*simulate_memory=*/false);
+  ASSERT_TRUE(lm.ok);
+  const long expected =
+      static_cast<long>(lm.ii) * (300 + static_cast<long>(lm.sc - 1) * 3);
+  EXPECT_EQ(lm.useful_cycles, expected);
+  EXPECT_EQ(lm.stall_cycles, 0);  // ideal memory
+  EXPECT_EQ(lm.mem_traffic, 300L * lm.trf);
+  EXPECT_EQ(lm.trf, 3);  // 2 loads + 1 store, no spill on S128
 }
 
 TEST(Metrics, AggregateSumsAndClassifies) {
@@ -62,52 +70,27 @@ TEST(Metrics, IPCUsesOriginalOps) {
   EXPECT_DOUBLE_EQ(sm.IPC(), 6.0);
 }
 
-TEST(Runner, ParallelMatchesSerial) {
-  workload::SynthParams p;
-  p.num_loops = 60;
-  const workload::Suite suite = workload::PerfectSynthetic(p);
+TEST(Metrics, RealMemoryAddsStalls) {
+  const workload::Loop loop = workload::MakeVadd(512);
   const MachineConfig m = MachineConfig::Baseline();
-  RunOptions serial;
-  serial.threads = 1;
-  RunOptions parallel;
-  parallel.threads = 8;
-  const auto a = RunSuiteDetailed(suite, m, serial);
-  const auto b = RunSuiteDetailed(suite, m, parallel);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].ok, b[i].ok) << i;
-    EXPECT_EQ(a[i].ii, b[i].ii) << i;
-    EXPECT_EQ(a[i].sc, b[i].sc) << i;
-    EXPECT_EQ(a[i].mem_traffic, b[i].mem_traffic) << i;
-  }
+  const LoopMetrics ideal = ScheduleMetrics(loop, m, false);
+  const LoopMetrics real = ScheduleMetrics(loop, m, true);
+  ASSERT_TRUE(ideal.ok);
+  ASSERT_TRUE(real.ok);
+  EXPECT_EQ(ideal.stall_cycles, 0);
+  EXPECT_GT(real.stall_cycles, 0);
+  EXPECT_EQ(ideal.useful_cycles, real.useful_cycles);
 }
 
-TEST(Runner, RealMemoryAddsStalls) {
-  workload::Suite suite;
-  suite.Add(workload::MakeVadd(512));
+TEST(Metrics, PrefetchCutsStalls) {
+  const workload::Loop loop = workload::MakeVadd(512);
   const MachineConfig m = MachineConfig::Baseline();
-  RunOptions ideal;
-  RunOptions real;
-  real.simulate_memory = true;
-  const SuiteMetrics a = RunSuite(suite, m, ideal);
-  const SuiteMetrics b = RunSuite(suite, m, real);
-  EXPECT_EQ(a.stall_cycles, 0);
-  EXPECT_GT(b.stall_cycles, 0);
-  EXPECT_EQ(a.useful_cycles, b.useful_cycles);
-}
-
-TEST(Runner, PrefetchCutsStalls) {
-  workload::Suite suite;
-  suite.Add(workload::MakeVadd(512));
-  const MachineConfig m = MachineConfig::Baseline();
-  RunOptions none;
-  none.simulate_memory = true;
-  RunOptions sel;
-  sel.simulate_memory = true;
-  sel.prefetch = memsim::PrefetchMode::kSelective;
-  const SuiteMetrics a = RunSuite(suite, m, none);
-  const SuiteMetrics b = RunSuite(suite, m, sel);
-  EXPECT_LT(b.stall_cycles, a.stall_cycles);
+  const LoopMetrics none = ScheduleMetrics(loop, m, true);
+  const LoopMetrics sel =
+      ScheduleMetrics(loop, m, true, memsim::PrefetchMode::kSelective);
+  ASSERT_TRUE(none.ok);
+  ASSERT_TRUE(sel.ok);
+  EXPECT_LT(sel.stall_cycles, none.stall_cycles);
 }
 
 // The MII sweep cache must key producer-latency overrides: a binding-
@@ -118,26 +101,24 @@ TEST(MiiCache, OverridesArePartOfTheKey) {
   // cache is process-wide; all assertions are deltas).
   MachineConfig m = MachineConfig::Baseline();
   m.lat.fadd = 6;
-  workload::Suite suite;
-  suite.Add(workload::MakeVadd(512));
-  RunOptions none;
-  none.threads = 1;
-  RunOptions all = none;
-  all.prefetch = memsim::PrefetchMode::kAll;
+  const workload::Loop loop = workload::MakeVadd(512);
+  const sched::LatencyOverrides all = memsim::ClassifyBindingPrefetch(
+      loop.ddg, m, loop.trip, memsim::PrefetchMode::kAll);
+  ASSERT_FALSE(all.producer_latency.empty());
 
   const MiiCacheStats s0 = GetMiiCacheStats();
-  RunSuiteDetailed(suite, m, none);
+  CachedMii(loop.ddg, m);
   const MiiCacheStats s1 = GetMiiCacheStats();
   EXPECT_EQ(s1.misses, s0.misses + 1);
 
   // Non-empty overrides -> a distinct entry, not a hit on the plain one.
-  RunSuiteDetailed(suite, m, all);
+  CachedMii(loop.ddg, m, all);
   const MiiCacheStats s2 = GetMiiCacheStats();
   EXPECT_EQ(s2.misses, s1.misses + 1);
   EXPECT_EQ(s2.hits, s1.hits);
 
-  // Rerunning with the same overrides is served from its own entry.
-  RunSuiteDetailed(suite, m, all);
+  // Looking up the same overrides again is served from its own entry.
+  CachedMii(loop.ddg, m, all);
   const MiiCacheStats s3 = GetMiiCacheStats();
   EXPECT_EQ(s3.misses, s2.misses);
   EXPECT_EQ(s3.hits, s2.hits + 1);
@@ -148,14 +129,11 @@ TEST(MiiCache, CapacityBoundsResidencyWithEviction) {
   const MiiCacheStats trimmed = GetMiiCacheStats();
   EXPECT_LE(trimmed.entries, 4);
 
-  workload::Suite suite;
-  suite.Add(workload::MakeDot());
-  RunOptions opt;
-  opt.threads = 1;
+  const workload::Loop loop = workload::MakeDot();
   for (int i = 0; i < 6; ++i) {
     MachineConfig m = MachineConfig::Baseline();
     m.lat.fmul = 40 + i;  // six distinct latency tables -> six keys
-    RunSuiteDetailed(suite, m, opt);
+    CachedMii(loop.ddg, m);
   }
   const MiiCacheStats after = GetMiiCacheStats();
   EXPECT_EQ(after.misses, trimmed.misses + 6);

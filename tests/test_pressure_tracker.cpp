@@ -12,6 +12,7 @@
 
 #include "core/mirs.h"
 #include "core/sched_state.h"
+#include "hwmodel/characterize.h"
 #include "io/hcl.h"
 #include "machine/rf_config.h"
 #include "sched/lifetime.h"
@@ -224,28 +225,38 @@ TEST(PressureTracker, UnboundedOrganizationsDetach) {
 // schedules to the reference (non-incremental) engine.
 // ---------------------------------------------------------------------------
 
-void ExpectEngineIdentical(const std::string& rf_name) {
-  SCOPED_TRACE(rf_name);
-  MachineConfig m = MachineConfig::WithRF(RFConfig::Parse(rf_name));
-  const workload::Suite& kernels = workload::SharedKernelSuite();
-  for (size_t i = 0; i < kernels.size(); i += 2) {
-    core::MirsOptions ref_opt;
-    ref_opt.incremental = false;
-    core::MirsOptions inc_opt;
-    inc_opt.incremental = true;
-    const core::ScheduleResult a = core::MirsHC(kernels[i].ddg, m, ref_opt);
-    const core::ScheduleResult b = core::MirsHC(kernels[i].ddg, m, inc_opt);
-    ASSERT_EQ(a.ok, b.ok) << kernels[i].ddg.name();
+void ExpectEngineIdentical(const std::string& label, const MachineConfig& m,
+                           const workload::Suite& suite) {
+  SCOPED_TRACE(label);
+  core::MirsOptions ref_opt;
+  ref_opt.incremental = false;
+  core::MirsOptions inc_opt;
+  inc_opt.incremental = true;
+  for (size_t i = 0; i < suite.size(); ++i) {
+    const core::ScheduleResult a = core::MirsHC(suite[i].ddg, m, ref_opt);
+    const core::ScheduleResult b = core::MirsHC(suite[i].ddg, m, inc_opt);
+    ASSERT_EQ(a.ok, b.ok) << suite[i].ddg.name();
     if (!a.ok) continue;
-    EXPECT_EQ(io::DumpResult(a), io::DumpResult(b)) << kernels[i].ddg.name();
+    EXPECT_EQ(io::DumpResult(a), io::DumpResult(b)) << suite[i].ddg.name();
   }
 }
 
 TEST(PressureTrackerEngine, BitIdenticalSchedules) {
-  ExpectEngineIdentical("4C16S64/2-1");
-  ExpectEngineIdentical("4C32/1-1");
-  ExpectEngineIdentical("S32");
-  ExpectEngineIdentical("2C16S16/1-1");
+  const workload::Suite& kernels = workload::SharedKernelSuite();
+  for (const char* rf : {"4C16S64/2-1", "4C32/1-1", "S32", "2C16S16/1-1"}) {
+    ExpectEngineIdentical(rf, MachineConfig::WithRF(RFConfig::Parse(rf)),
+                          kernels);
+  }
+
+  // The paper's proposed organization with its characterized clock and
+  // latencies, over the kernels and a synthetic slice.
+  const MachineConfig hc = hw::ApplyCharacterization(
+      MachineConfig::WithRF(RFConfig::Parse("4C16S64/2-1")),
+      hw::RFModelMode::kPaperTable);
+  ExpectEngineIdentical("kernels x characterized 4C16S64/2-1", hc, kernels);
+  ExpectEngineIdentical(
+      "synth[0,64) x characterized 4C16S64/2-1", hc,
+      workload::SuiteSlice(workload::SharedSyntheticSuite(), 64));
 }
 
 }  // namespace

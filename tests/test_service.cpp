@@ -10,6 +10,7 @@
 #include "io/hcl.h"
 #include "service/batch.h"
 #include "workload/kernels.h"
+#include "workload/perfect_synth.h"
 
 namespace hcrf {
 namespace {
@@ -76,6 +77,37 @@ TEST(BatchService, SchedulesRequestsWithoutACache) {
   EXPECT_EQ(report.scheduled, 1);
   EXPECT_EQ(report.hits, 0);
   EXPECT_EQ(report.failed, 0);
+}
+
+// Parallel dispatch is invisible in the results: a batch over the shared
+// pool schedules exactly what a serial batch does.
+TEST(BatchService, ParallelMatchesSerial) {
+  workload::SynthParams p;
+  p.num_loops = 60;
+  const auto suite =
+      std::make_shared<const workload::Suite>(workload::PerfectSynthetic(p));
+  std::vector<service::BatchRequest> requests;
+  for (size_t i = 0; i < suite->size(); ++i) {
+    service::BatchRequest req;
+    req.id = "synth-" + std::to_string(i);
+    req.loop = std::shared_ptr<const workload::Loop>(suite, &(*suite)[i]);
+    req.machine = MachineConfig::Baseline();
+    requests.push_back(std::move(req));
+  }
+  service::BatchOptions serial;
+  serial.threads = 1;
+  service::BatchOptions parallel;
+  parallel.threads = 8;
+  const service::BatchReport a = service::RunBatch(requests, serial);
+  const service::BatchReport b = service::RunBatch(requests, parallel);
+  ASSERT_EQ(a.items.size(), requests.size());
+  ASSERT_EQ(b.items.size(), requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(a.items[i].ok, b.items[i].ok) << i;
+    EXPECT_EQ(io::DumpResult(a.items[i].result),
+              io::DumpResult(b.items[i].result))
+        << i;
+  }
 }
 
 TEST(BatchService, MissingGraphFileFailsItsItemOnly) {

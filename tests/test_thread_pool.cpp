@@ -1,4 +1,4 @@
-// Tests of the shared worker pool behind the suite runner.
+// Tests of the shared worker pool behind the batch path (RunBatch).
 #include <gtest/gtest.h>
 
 #include <atomic>
