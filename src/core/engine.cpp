@@ -11,6 +11,7 @@
 #include "obs/trace.h"
 #include "sched/banks.h"
 #include "sched/mrt.h"
+#include "sched/ordering.h"
 #include "sched/validate.h"
 
 namespace hcrf::core {
@@ -32,15 +33,8 @@ AttemptContext::AttemptContext(const DDG& original, const MachineConfig& m,
       base_overrides_(base_overrides),
       order_(order),
       st_(m),
-      instr_(opt.event_sink),
       comm_(st_, *this, instr_),
-      spill_policy_(opt.spill_policy
-                        ? opt.spill_policy
-                        : std::make_shared<const LongestPerUseSpillPolicy>()),
-      spill_(st_, *this, *spill_policy_, instr_),
-      selector_(opt.cluster_selector ? opt.cluster_selector()
-                                     : MakeClusterSelector(opt.cluster_policy)) {
-}
+      spill_(st_, *this, instr_) {}
 
 // ---------------------------------------------------------------------------
 // NodePlacer services
@@ -211,7 +205,7 @@ void AttemptContext::EjectScheduledNode(NodeId v) {
 }
 
 // ---------------------------------------------------------------------------
-// Cluster selection (structural constraints, then policy)
+// Cluster selection (structural constraints, then opt.cluster_policy)
 // ---------------------------------------------------------------------------
 
 int AttemptContext::SelectCluster(NodeId u) {
@@ -220,7 +214,8 @@ int AttemptContext::SelectCluster(NodeId u) {
   const Node& n = st_.g.node(u);
 
   // Communication and spill copies have their cluster dictated by the
-  // scheduled endpoint they serve; the policy only decides for free nodes.
+  // scheduled endpoint they serve; cluster_policy only decides for free
+  // nodes.
   if (n.op == OpClass::kLoadR) {
     for (const Edge& e : st_.g.FlowConsumers(u)) {
       if (st_.sched->IsScheduled(e.dst)) {
@@ -229,7 +224,7 @@ int AttemptContext::SelectCluster(NodeId u) {
         if (b != kSharedBank) return b;
       }
     }
-    return structural_fallback_.Select(st_, u);
+    return BalancedCluster(st_, u);
   }
   if (n.op == OpClass::kStoreR) {
     for (const Edge& e : st_.g.FlowProducers(u)) {
@@ -239,7 +234,7 @@ int AttemptContext::SelectCluster(NodeId u) {
         if (b != kSharedBank) return b;
       }
     }
-    return structural_fallback_.Select(st_, u);
+    return BalancedCluster(st_, u);
   }
   if (rf.IsPureClustered() && n.spill && IsMemory(n.op)) {
     // Spill stores read the producer's cluster; spill loads feed consumers.
@@ -252,10 +247,15 @@ int AttemptContext::SelectCluster(NodeId u) {
         if (st_.sched->IsScheduled(e.dst)) return st_.sched->ClusterOf(e.dst);
       }
     }
-    return structural_fallback_.Select(st_, u);
+    return BalancedCluster(st_, u);
   }
 
-  return selector_->Select(st_, u);
+  switch (opt_.cluster_policy) {
+    case ClusterPolicy::kBalanced: return BalancedCluster(st_, u);
+    case ClusterPolicy::kRoundRobin: return round_robin_next_++ % rf.clusters;
+    case ClusterPolicy::kFirstFit: return FirstFitCluster(st_, u);
+  }
+  return BalancedCluster(st_, u);
 }
 
 // ---------------------------------------------------------------------------
@@ -362,7 +362,7 @@ void AttemptContext::BeginAttempt(int ii) {
   st_.Reset(original_, base_overrides_, ii, opt_.incremental);
   comm_.Reset();
   spill_.Reset();
-  selector_->Reset();
+  round_robin_next_ = 0;
   since_spill_check_ = 0;
 
   for (size_t r = 0; r < order_.size(); ++r) {
@@ -574,9 +574,7 @@ EngineDriver::EngineDriver(const DDG& loop, const MachineConfig& m,
     : original_(loop),
       m_(m),
       opt_(opt),
-      base_overrides_(base_overrides),
-      ordering_(opt.ordering ? opt.ordering
-                             : std::make_shared<const HrmsOrderPolicy>()) {
+      base_overrides_(base_overrides) {
   // Canonicalize the overrides: trailing zero entries are behaviorally
   // inert (LatencyOverrides::For falls back) but would leak into the
   // serialized result, and the schedule cache keys padding-equivalent
@@ -597,7 +595,7 @@ ScheduleResult EngineDriver::Run() {
   }
   {
     obs::TraceSpan order_span("phase", "ordering");
-    order_ = ordering_->Order(original_, m_);
+    order_ = sched::HrmsOrder(original_, m_.lat);
   }
   // Warm-start gate: one seeded attempt before the cold dispatch. A failed
   // (or rejected) seed falls through to the regular path with the fallback

@@ -1,20 +1,21 @@
 // Engine driver of MIRS_HC: owns the II-escalation loop, the budget
 // accounting of the iterative algorithm, and the force-and-eject
-// backtracking. The heuristics live in the policy layer (policies.h),
-// cross-bank edge rewriting in the communication rewriter (comm_rewrite.h),
-// register-pressure handling in the spill engine (spill.h), and counters /
-// events in the instrumentation layer (instrument.h).
+// backtracking. It calls the paper's fixed heuristics directly: the HRMS
+// node order (sched/ordering.h), the cluster heuristic chosen by
+// MirsOptions::cluster_policy (policies.h) and, through the spill engine
+// (spill.h), the longest-lifetime-per-use victim ranking. Cross-bank edge
+// rewriting lives in the communication rewriter (comm_rewrite.h), and
+// counters / events in the instrumentation layer (instrument.h).
 //
 // The per-attempt machinery is packaged as an AttemptContext: a
 // self-contained bundle of everything one II attempt mutates (working
-// graph, schedule/MRT, priority list, comm rewriter, spill engine, cluster
-// selector, budget, instrumentation, scratch buffers). The driver reuses
-// one context across the serial escalation walk, so the stats of a run
-// accumulate over every II it attempted.
+// graph, schedule/MRT, priority list, comm rewriter, spill engine,
+// round-robin cursor, budget, instrumentation, scratch buffers). The
+// driver reuses one context across the serial escalation walk, so the
+// stats of a run accumulate over every II it attempted.
 #pragma once
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -132,8 +133,8 @@ class AttemptContext : public NodePlacer {
   void EjectScheduledNode(NodeId v);
 
   /// Structural cluster constraints (communication and spill copies follow
-  /// the scheduled endpoint they serve); defers to the selector policy for
-  /// unconstrained nodes.
+  /// the scheduled endpoint they serve, falling back to BalancedCluster);
+  /// opt.cluster_policy decides for unconstrained nodes.
   int SelectCluster(NodeId u);
 
   // ---- immutable inputs -----------------------------------------------
@@ -147,13 +148,11 @@ class AttemptContext : public NodePlacer {
   SchedState st_;
   Instrumentation instr_;
   CommRewriter comm_;
-  std::shared_ptr<const SpillVictimPolicy> spill_policy_;
   SpillEngine spill_;
-  std::unique_ptr<ClusterSelector> selector_;
-  BalancedClusterSelector structural_fallback_;
 
   // ---- per-attempt state -----------------------------------------------
   BudgetAccount budget_;
+  int round_robin_next_ = 0;  ///< ClusterPolicy::kRoundRobin's cursor.
   int since_spill_check_ = 0;
 
   // Scratch buffers reused across (non-reentrant) forced placements so the
@@ -190,7 +189,6 @@ class EngineDriver {
   MirsOptions opt_;
   sched::LatencyOverrides base_overrides_;
 
-  std::shared_ptr<const NodeOrderPolicy> ordering_;
   std::vector<NodeId> order_;  ///< Ordering, computed once per run.
 };
 

@@ -3,9 +3,10 @@
 // decisions, budget consumption, II escalation).
 //
 // The counters are the quantitative side (surfaced through ScheduleResult
-// and aggregated into perf::SuiteMetrics); the optional EventSink is the
-// qualitative side for tests and tracing. The engine funnels every state
-// change through Instrumentation so the two can never disagree.
+// and aggregated into perf::SuiteMetrics); the tracer's `sched` instant
+// events (obs/trace.h, one per SchedEvent) are the qualitative side. The
+// engine funnels every state change through Instrumentation so the two can
+// never disagree.
 #pragma once
 
 #include <cstdint>
@@ -40,15 +41,6 @@ constexpr std::string_view ToString(SchedEvent e) {
   return "?";
 }
 
-/// Observer of scheduler events. Callbacks run synchronously on the
-/// scheduling thread and must be cheap; `node` is kNoNode for events that
-/// concern the whole attempt (kIIRestart), and `ii` is the II in effect.
-class EventSink {
- public:
-  virtual ~EventSink() = default;
-  virtual void OnEvent(SchedEvent e, NodeId node, int ii) = 0;
-};
-
 /// Counters accumulated over one MirsHC run (all II attempts).
 struct ScheduleStats {
   long attempts = 0;    ///< Budget spent (nodes scheduled, incl. rescheds).
@@ -68,12 +60,12 @@ struct ScheduleStats {
   double budget_granted = 0;  ///< Budget granted by inserted nodes.
 };
 
-/// The engine's single funnel for counters + events.
+/// The engine's single funnel for counters + events. While the tracer
+/// records, every event is also a `sched` instant event named
+/// ToString(SchedEvent), whose args carry the II in effect and the node
+/// (none for kIIRestart, which concerns the whole attempt).
 class Instrumentation {
  public:
-  Instrumentation() = default;
-  explicit Instrumentation(EventSink* sink) : sink_(sink) {}
-
   ScheduleStats& stats() { return stats_; }
   const ScheduleStats& stats() const { return stats_; }
 
@@ -113,9 +105,6 @@ class Instrumentation {
 
  private:
   void Emit(SchedEvent e, NodeId n, int ii) {
-    if (sink_ != nullptr) {
-      sink_->OnEvent(e, n, ii);
-    }
     if (obs::TraceEnabled()) {
       obs::Tracer::Shared().Instant("sched", ToString(e).data(), ii,
                                     static_cast<int>(n));
@@ -123,7 +112,6 @@ class Instrumentation {
   }
 
   ScheduleStats stats_;
-  EventSink* sink_ = nullptr;
 };
 
 }  // namespace hcrf::core

@@ -22,13 +22,16 @@
 // of Budget_Ratio attempts per node; exhausting it restarts the schedule
 // at II+1.
 //
-// This header is the stable entry point. The implementation is layered
-// (see ARCHITECTURE.md): engine driver (engine.h), policies (policies.h),
-// communication rewriting (comm_rewrite.h), spilling (spill.h) and
-// instrumentation (instrument.h).
+// This header is the stable entry point, and MirsOptions is the engine's
+// one configuration: the heuristics are the paper's fixed ones, and only
+// the cluster heuristic has a switch (ablations). The implementation is
+// layered (see ARCHITECTURE.md): engine driver (engine.h), heuristics
+// (policies.h), communication rewriting (comm_rewrite.h), spilling
+// (spill.h) and instrumentation (instrument.h).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -59,20 +62,9 @@ struct MirsOptions {
   /// spill check, linear priority scan) — schedules are bit-identical
   /// either way (PressureTrackerEngine.BitIdenticalSchedules asserts it).
   bool incremental = true;
+  /// Cluster heuristic for structurally unconstrained nodes: the paper's
+  /// Select_Cluster or one of its two ablations (policies.h).
   ClusterPolicy cluster_policy = ClusterPolicy::kBalanced;
-
-  // ---- policy-layer hooks (null = defaults from the enums above) -------
-  /// Creates the per-run cluster selector; overrides `cluster_policy` when
-  /// set. A factory (not an instance) so one MirsOptions value can be
-  /// shared across the concurrent runs of a parallel batch.
-  ClusterSelectorFactory cluster_selector;
-  /// Node-ordering policy (default: HRMS ordering).
-  std::shared_ptr<const NodeOrderPolicy> ordering;
-  /// Spill-victim ranking (default: longest lifetime per use).
-  std::shared_ptr<const SpillVictimPolicy> spill_policy;
-  /// Optional observer of scheduler events (tests, tracing). Non-owning;
-  /// must outlive the MirsHC call. Callbacks run on the scheduling thread.
-  EventSink* event_sink = nullptr;
 
   /// Precomputed MII of the loop (the batch path's sweep cache); when
   /// set, the engine skips its own ComputeMII. Must match the loop/machine.

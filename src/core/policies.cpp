@@ -3,7 +3,6 @@
 #include <limits>
 
 #include "sched/banks.h"
-#include "sched/ordering.h"
 
 namespace hcrf::core {
 
@@ -18,16 +17,11 @@ std::string_view ToString(ClusterPolicy p) {
   return "?";
 }
 
-std::vector<NodeId> HrmsOrderPolicy::Order(const DDG& g,
-                                           const MachineConfig& m) const {
-  return sched::HrmsOrder(g, m.lat);
-}
-
 // ---------------------------------------------------------------------------
 // Cluster selection
 // ---------------------------------------------------------------------------
 
-int BalancedClusterSelector::Select(const SchedState& st, NodeId u) {
+int BalancedCluster(const SchedState& st, NodeId u) {
   const RFConfig& rf = st.m.rf;
   const int x = rf.clusters;
   const int ii = st.ii();
@@ -36,7 +30,7 @@ int BalancedClusterSelector::Select(const SchedState& st, NodeId u) {
 
   // Per-cluster usage of FUs (cheap balance proxy) and def counts
   // (register-pressure proxy), maintained incrementally by the SchedState
-  // assign/unassign funnels (this selector runs before every placement and
+  // assign/unassign funnels (this heuristic runs before every placement and
   // used to rescan every slot).
   const std::vector<int>& fu_use = st.cluster_fu_use;
   const std::vector<int>& defs = st.cluster_defs;
@@ -96,12 +90,7 @@ int BalancedClusterSelector::Select(const SchedState& st, NodeId u) {
   return best;
 }
 
-int RoundRobinClusterSelector::Select(const SchedState& st, NodeId u) {
-  (void)u;
-  return (next_++) % st.m.rf.clusters;
-}
-
-int FirstFitClusterSelector::Select(const SchedState& st, NodeId u) {
+int FirstFitCluster(const SchedState& st, NodeId u) {
   const Node& n = st.g.node(u);
   for (int c = 0; c < st.m.rf.clusters; ++c) {
     const auto needs = sched::ResourceNeeds(n.op, c, 0, st.m);
@@ -118,28 +107,12 @@ int FirstFitClusterSelector::Select(const SchedState& st, NodeId u) {
   return 0;
 }
 
-std::unique_ptr<ClusterSelector> MakeClusterSelector(ClusterPolicy p) {
-  switch (p) {
-    case ClusterPolicy::kBalanced:
-      return std::make_unique<BalancedClusterSelector>();
-    case ClusterPolicy::kRoundRobin:
-      return std::make_unique<RoundRobinClusterSelector>();
-    case ClusterPolicy::kFirstFit:
-      return std::make_unique<FirstFitClusterSelector>();
-  }
-  return std::make_unique<BalancedClusterSelector>();
-}
-
-ClusterSelectorFactory MakeClusterSelectorFactory(ClusterPolicy p) {
-  return [p] { return MakeClusterSelector(p); };
-}
-
 // ---------------------------------------------------------------------------
 // Spill victim selection
 // ---------------------------------------------------------------------------
 
-const sched::ValueLifetime* LongestPerUseSpillPolicy::Pick(
-    const std::vector<const sched::ValueLifetime*>& candidates) const {
+const sched::ValueLifetime* LongestPerUse(
+    const std::vector<const sched::ValueLifetime*>& candidates) {
   const sched::ValueLifetime* best = nullptr;
   double best_score = 0.0;
   for (const sched::ValueLifetime* v : candidates) {

@@ -1,6 +1,6 @@
 // Shared mutable state of one II attempt of the iterative engine.
 //
-// Everything the engine layers (driver, cluster/spill policies,
+// Everything the engine layers (driver, cluster/spill heuristics,
 // communication rewriter, spill engine) read and write while scheduling
 // lives here: the working graph (original nodes plus inserted
 // communication/spill copies), the partial schedule and reservation table,
@@ -45,7 +45,7 @@ struct SchedState {
   /// Rebuilds the state for a fresh attempt at the given II: working graph
   /// reset to the original, empty schedule/MRT, bookkeeping cleared. The
   /// caller (engine driver) fills in priorities and the unscheduled set
-  /// from its ordering policy. `incremental` selects the incremental
+  /// from the HRMS node order. `incremental` selects the incremental
   /// pressure tracker + indexed priority pick; false is the reference path
   /// (full ComputePressure per spill check, linear priority scan) that the
   /// tests run to prove both produce bit-identical schedules.
@@ -112,7 +112,7 @@ struct SchedState {
   bool churning = false;  ///< Livelocked eject ping-pong detected.
 
   /// Scheduled compute ops / cluster-bank defs per cluster, maintained by
-  /// the Assign/Unassign funnels. The balanced cluster selector's soft
+  /// the Assign/Unassign funnels. BalancedCluster's soft
   /// balancing terms used to rescan every slot per selection; these are
   /// the same sums kept incrementally.
   std::vector<int> cluster_fu_use;

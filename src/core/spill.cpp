@@ -55,7 +55,7 @@ void SpillEngine::CheckAndInsert() {
   if (st_.pressure.attached()) {
     // O(1)-amortized fast path: consult the incrementally maintained
     // MaxLive. Only when some bank is over capacity do we pay for the full
-    // report (the spill policy ranks ValueLifetimes, which the tracker
+    // report (the victim ranking reads ValueLifetimes, which the tracker
     // does not materialize) — and the decisions below are then identical
     // to the reference path's, since the tracker agrees with
     // ComputePressure bank for bank (cross-validated here in debug
@@ -76,7 +76,7 @@ void SpillEngine::CheckAndInsert() {
     if (!over) return;
   }
 
-  // Over capacity (or reference path): the victim policies rank the full
+  // Over capacity (or reference path): the victim ranking needs the full
   // ValueLifetime list. The tracker materializes a report identical to
   // ComputePressure's at O(values); the reference path recomputes it from
   // the graph.
@@ -110,7 +110,7 @@ bool SpillEngine::SpillFromBank(BankId bank, const sched::PressureReport& pr) {
       to_shared ? st_.m.lat.storer + st_.m.lat.loadr + 2
                 : 2 * (st_.m.lat.store + st_.m.lat.load_hit + 2);
 
-  // Filter to legal victims; the policy ranks them.
+  // Filter to legal victims; LongestPerUse ranks them.
   std::vector<const sched::ValueLifetime*> candidates;
   for (const sched::ValueLifetime& v : pr.values) {
     if (v.bank != bank || v.uses < 1 || v.Length() <= min_len) continue;
@@ -125,7 +125,7 @@ bool SpillEngine::SpillFromBank(BankId bank, const sched::PressureReport& pr) {
     if (nd.spill && !to_shared && nd.op == OpClass::kLoad) continue;
     candidates.push_back(&v);
   }
-  const sched::ValueLifetime* best = policy_.Pick(candidates);
+  const sched::ValueLifetime* best = LongestPerUse(candidates);
   if (best == nullptr) return false;
 
   const NodeId def = best->def;

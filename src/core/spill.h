@@ -9,9 +9,9 @@
 // with a dedicated spill array). Loop invariants are un-pinned from an
 // overflowing bank by rematerializing per-use reloads.
 //
-// Victim ranking is delegated to the SpillVictimPolicy (policies.h); node
-// creation goes through the NodePlacer so budget accounting stays with the
-// engine driver.
+// Victims are ranked by the paper's longest-lifetime-per-use heuristic
+// (LongestPerUse, policies.h); node creation goes through the NodePlacer
+// so budget accounting stays with the engine driver.
 #pragma once
 
 #include <cstdint>
@@ -33,9 +33,8 @@ inline constexpr std::int32_t kSpillArrayBase = 1 << 20;
 
 class SpillEngine {
  public:
-  SpillEngine(SchedState& st, NodePlacer& placer,
-              const SpillVictimPolicy& policy, Instrumentation& instr)
-      : st_(st), placer_(placer), policy_(policy), instr_(instr) {}
+  SpillEngine(SchedState& st, NodePlacer& placer, Instrumentation& instr)
+      : st_(st), placer_(placer), instr_(instr) {}
 
   /// Forgets all spill decisions (fresh II attempt).
   void Reset();
@@ -56,7 +55,6 @@ class SpillEngine {
 
   SchedState& st_;
   NodePlacer& placer_;
-  const SpillVictimPolicy& policy_;
   Instrumentation& instr_;
 
   std::set<NodeId> spilled_;

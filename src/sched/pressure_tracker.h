@@ -95,10 +95,10 @@ class PressureTracker final : public DdgListener {
   int MaxLive(BankId bank);
 
   /// Materializes the full PressureReport (per-bank MaxLive plus the
-  /// ValueLifetime list the spill policy ranks) from tracked state: O(live
-  /// values), no edge walk. Field-for-field equal to ComputePressure() —
-  /// the spill engine's slow path feeds it to the victim policies, so the
-  /// decisions match the reference path's exactly.
+  /// ValueLifetime list the spill victim ranking reads) from tracked state:
+  /// O(live values), no edge walk. Field-for-field equal to
+  /// ComputePressure() — the spill engine's slow path ranks its victims on
+  /// it, so the decisions match the reference path's exactly.
   PressureReport Report();
 
   /// Recomputes the ground truth with ComputePressure and HCRF_CHECKs that

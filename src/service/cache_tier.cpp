@@ -102,8 +102,9 @@ CacheKey MakeCacheKey(const DDG& g, const MachineConfig& m,
   DualHash f;
   MixStructural(f, g, m);
 
-  // Options (the serializable subset; injected policy objects are the
-  // caller's responsibility and keyed out by convention).
+  // Options that shape the schedule. `incremental` (bit-identical either
+  // way), `precomputed_mii` (derived from the key's own content) and
+  // `warm_start` (runtime-only) stay out.
   f.MixDouble(opt.budget_ratio);
   f.Mix(static_cast<std::uint64_t>(opt.max_ii));
   f.Mix(static_cast<std::uint64_t>(opt.iterative ? 1 : 2));

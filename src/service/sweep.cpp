@@ -1,5 +1,6 @@
 #include "service/sweep.h"
 
+#include <cstdio>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -7,7 +8,6 @@
 
 #include "io/hcl.h"
 #include "io/scanner.h"
-#include "perf/tables.h"
 #include "service/session.h"
 #include "workload/suite_cache.h"
 
@@ -21,6 +21,13 @@ namespace fs = std::filesystem;
 // workload::SharedSuiteByName (the executor resolves through it).
 bool IsKnownSuite(std::string_view name) {
   return name == "kernels" || name == "synth";
+}
+
+/// Fixed three decimals (the markdown's avg II/MII column).
+std::string Fmt3(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.3f", v);
+  return std::string(buf);
 }
 
 std::string JoinInts(const std::vector<int>& values) {
@@ -407,9 +414,7 @@ std::string SweepMarkdown(const SweepReport& report) {
     const OrgAgg& a = aggs[org];
     out += "| " + org + " | " + std::to_string(a.ok) + " | " +
            std::to_string(a.failed) + " | " +
-           (a.ok > 0
-                ? perf::Table::Num(a.sum_ratio / static_cast<double>(a.ok), 3)
-                : "-") +
+           (a.ok > 0 ? Fmt3(a.sum_ratio / static_cast<double>(a.ok)) : "-") +
            " | " + std::to_string(a.sum_ii) + " | " +
            std::to_string(a.sum_mii) + " | " + std::to_string(a.bound[0]) +
            " | " + std::to_string(a.bound[1]) + " | " +

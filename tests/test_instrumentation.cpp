@@ -1,12 +1,15 @@
 // Tests of the scheduler instrumentation layer: counters surfaced through
-// ScheduleResult, the EventSink observer, the internal consistency between
-// the two, and the aggregation into perf::SuiteMetrics.
+// ScheduleResult, the tracer's `sched` instant events, the internal
+// consistency between the two, and the aggregation into perf::SuiteMetrics.
 #include <gtest/gtest.h>
 
-#include <array>
+#include <map>
+#include <string>
+#include <string_view>
 
 #include "core/mirs.h"
 #include "hwmodel/characterize.h"
+#include "obs/trace.h"
 #include "perf/runner.h"
 #include "workload/kernels.h"
 #include "workload/perfect_synth.h"
@@ -72,43 +75,50 @@ TEST(Instrumentation, SpillCountersFireOnSmallRegisterFile) {
   EXPECT_GT(spill_mem_ops, 0);
 }
 
-class CountingSink : public EventSink {
- public:
-  void OnEvent(SchedEvent e, NodeId node, int ii) override {
-    (void)node;
-    (void)ii;
-    ++counts_[static_cast<size_t>(e)];
-  }
-  long Of(SchedEvent e) const { return counts_[static_cast<size_t>(e)]; }
-
- private:
-  std::array<long, 8> counts_{};
+// Every test that starts the tracer stops it on exit, so a failing
+// assertion can't leave tracing armed for later tests.
+struct TracerGuard {
+  ~TracerGuard() { obs::Tracer::Shared().Stop(); }
 };
+
+/// The recording's `sched` instant events, counted by name.
+std::map<std::string, long> CountSchedEvents() {
+  std::map<std::string, long> counts;
+  for (const auto& track : obs::Tracer::Shared().Snapshot()) {
+    for (const obs::TraceEvent& e : track.events) {
+      if (e.ph == 'i' && std::string_view(e.cat) == "sched") ++counts[e.name];
+    }
+  }
+  return counts;
+}
 
 TEST(Instrumentation, EventStreamMatchesCounters) {
   // Events and counters are two views of the same funnel; they must agree
   // on every loop, including budget-constrained ones.
+  TracerGuard guard;
   const MachineConfig m = Machine("8C16S16/1-1");
   workload::SynthParams p;
   p.num_loops = 15;
   const workload::Suite suite = workload::PerfectSynthetic(p);
   for (const auto& loop : suite.loops()) {
-    CountingSink sink;
-    MirsOptions opt;
-    opt.event_sink = &sink;
-    const ScheduleResult sr = MirsHC(loop.ddg, m, opt);
-    EXPECT_EQ(sink.Of(SchedEvent::kNodePlaced) +
-                  sink.Of(SchedEvent::kNodeForced) +
-                  sink.Of(SchedEvent::kChainBuilt),
+    obs::Tracer::Shared().Start();
+    const ScheduleResult sr = MirsHC(loop.ddg, m);
+    obs::Tracer::Shared().Stop();
+    std::map<std::string, long> counts = CountSchedEvents();
+    const auto of = [&](SchedEvent e) {
+      return counts[std::string(ToString(e))];
+    };
+    EXPECT_EQ(of(SchedEvent::kNodePlaced) + of(SchedEvent::kNodeForced) +
+                  of(SchedEvent::kChainBuilt),
               sr.stats.attempts)
         << loop.ddg.name();
-    EXPECT_EQ(sink.Of(SchedEvent::kNodeEjected), sr.stats.ejections)
+    EXPECT_EQ(of(SchedEvent::kNodeEjected), sr.stats.ejections)
         << loop.ddg.name();
-    EXPECT_EQ(sink.Of(SchedEvent::kNodeForced), sr.stats.force_places)
+    EXPECT_EQ(of(SchedEvent::kNodeForced), sr.stats.force_places)
         << loop.ddg.name();
-    EXPECT_EQ(sink.Of(SchedEvent::kSpillInserted), sr.stats.spills_inserted)
+    EXPECT_EQ(of(SchedEvent::kSpillInserted), sr.stats.spills_inserted)
         << loop.ddg.name();
-    EXPECT_EQ(sink.Of(SchedEvent::kChainUndone), sr.stats.chains_undone)
+    EXPECT_EQ(of(SchedEvent::kChainUndone), sr.stats.chains_undone)
         << loop.ddg.name();
   }
 }

@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "core/mirs.h"
+#include "ddg/mii.h"
 #include "io/hcl.h"
 #include "service/sched_cache.h"
 #include "workload/kernels.h"
@@ -172,9 +173,29 @@ TEST_F(SchedCacheTest, KeySeparatesScheduleRelevantContent) {
   m3.lat.fmul = 5;
   EXPECT_FALSE(MakeCacheKey(loop.ddg, m3, opt) == key);
 
-  core::MirsOptions o2;
-  o2.iterative = false;
-  EXPECT_FALSE(MakeCacheKey(loop.ddg, base, o2) == key);
+  using Edit = void (*)(core::MirsOptions&);
+  const auto key_with = [&](Edit edit) {
+    core::MirsOptions o;
+    edit(o);
+    return MakeCacheKey(loop.ddg, base, o);
+  };
+  EXPECT_FALSE(key_with([](auto& o) { o.iterative = false; }) == key);
+  EXPECT_FALSE(key_with([](auto& o) { o.budget_ratio = 3.0; }) == key);
+  EXPECT_FALSE(key_with([](auto& o) { o.max_ii = 512; }) == key);
+  // Every cluster heuristic keys apart (kBalanced is the default).
+  const CacheKey round_robin = key_with(
+      [](auto& o) { o.cluster_policy = core::ClusterPolicy::kRoundRobin; });
+  const CacheKey first_fit = key_with(
+      [](auto& o) { o.cluster_policy = core::ClusterPolicy::kFirstFit; });
+  EXPECT_FALSE(round_robin == key);
+  EXPECT_FALSE(first_fit == key);
+  EXPECT_FALSE(round_robin == first_fit);
+  // Runtime-only options leave the key alone: the reference engine path
+  // is bit-identical, and a precomputed MII is derived from keyed content.
+  EXPECT_TRUE(key_with([](auto& o) { o.incremental = false; }) == key);
+  core::MirsOptions precomputed;
+  precomputed.precomputed_mii = ComputeMII(loop.ddg, base);
+  EXPECT_TRUE(MakeCacheKey(loop.ddg, base, precomputed) == key);
 
   workload::Loop mutated = workload::MakeStencil3();
   mutated.ddg.AddEdge(0, 1, DepKind::kMem, 1);

@@ -30,6 +30,7 @@
 #include <filesystem>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -324,6 +325,68 @@ core::MirsOptions OptionsFromFlags(const Args& args) {
   return opt;
 }
 
+/// Splits a comma-separated flag value into its non-empty items.
+std::vector<std::string> SplitCommas(const std::string& value) {
+  std::vector<std::string> items;
+  std::istringstream in(value);
+  for (std::string item; std::getline(in, item, ',');) {
+    if (!item.empty()) items.push_back(item);
+  }
+  return items;
+}
+
+/// `--out-dir`: writes `result` as `<out_dir>/<id>.hclr`, with path
+/// separators in the request id flattened to '_'.
+void WriteResultFile(const std::string& out_dir, std::string id,
+                     const core::ScheduleResult& result) {
+  for (char& c : id) {
+    if (c == '/' || c == '\\') c = '_';
+  }
+  io::WriteFileAtomic((fs::path(out_dir) / (id + ".hclr")).string(),
+                      io::DumpResult(result));
+}
+
+/// The smoke checks' cold-cache contract. A user-supplied `--cache` is
+/// never deleted, so it must be empty (else ok() is false and the refusal
+/// is printed under `cmd`'s name); without one, a fresh per-process temp
+/// directory that the guard removes again.
+class SmokeCacheDir {
+ public:
+  SmokeCacheDir(const Args& args, const char* cmd, const char* temp_prefix) {
+    std::error_code ec;
+    if (const std::string* c = args.Flag("cache")) {
+      dir_ = *c;
+      ok_ = !fs::exists(dir_, ec) || fs::is_empty(dir_, ec);
+      if (!ok_) {
+        std::fprintf(stderr,
+                     "%s: --cache=%s exists and is not empty; the cold run "
+                     "needs a fresh cache and will not delete user data\n",
+                     cmd, dir_.c_str());
+      }
+    } else {
+      dir_ = (fs::temp_directory_path() /
+              (std::string(temp_prefix) + "-" + std::to_string(::getpid())))
+                 .string();
+      fs::remove_all(dir_, ec);
+      owned_ = true;
+    }
+  }
+  ~SmokeCacheDir() {
+    std::error_code ec;
+    if (owned_) fs::remove_all(dir_, ec);
+  }
+  SmokeCacheDir(const SmokeCacheDir&) = delete;
+  SmokeCacheDir& operator=(const SmokeCacheDir&) = delete;
+
+  const std::string& dir() const { return dir_; }
+  bool ok() const { return ok_; }
+
+ private:
+  std::string dir_;
+  bool owned_ = false;
+  bool ok_ = true;
+};
+
 void PrintItem(const service::BatchItem& item) {
   if (!item.ok) {
     std::printf("%-28s FAILED  %s\n", item.id.c_str(), item.error.c_str());
@@ -381,12 +444,7 @@ int RunManifestOnce(const std::string& manifest,
   for (const service::BatchItem& item : report.items) {
     if (!quiet) PrintItem(item);
     if (out_dir != nullptr && item.ok) {
-      std::string stem = item.id;
-      for (char& c : stem) {
-        if (c == '/' || c == '\\') c = '_';
-      }
-      io::WriteFileAtomic((fs::path(*out_dir) / (stem + ".hclr")).string(),
-                          io::DumpResult(item.result));
+      WriteResultFile(*out_dir, item.id, item.result);
     }
   }
   std::printf(
@@ -467,24 +525,11 @@ int CmdSweep(const Args& args) {
   }
 
   const bool smoke = args.Flag("smoke") != nullptr;
-  std::error_code ec;
+  std::optional<SmokeCacheDir> smoke_cache;
   if (smoke) {
-    // Same cold-cache contract as `hcrf_sched smoke`: never delete a
-    // user-supplied directory, refuse one with existing contents.
-    if (sopt.cache_dir.empty()) {
-      sopt.cache_dir =
-          (fs::temp_directory_path() /
-           ("hcrf-sweep-smoke-" + std::to_string(::getpid())))
-              .string();
-      fs::remove_all(sopt.cache_dir, ec);
-    } else if (fs::exists(sopt.cache_dir, ec) &&
-               !fs::is_empty(sopt.cache_dir, ec)) {
-      std::fprintf(stderr,
-                   "sweep --smoke: --cache=%s exists and is not empty; the "
-                   "cold run needs a fresh cache\n",
-                   sopt.cache_dir.c_str());
-      return 1;
-    }
+    smoke_cache.emplace(args, "sweep --smoke", "hcrf-sweep-smoke");
+    if (!smoke_cache->ok()) return 1;
+    sopt.cache_dir = smoke_cache->dir();
   }
 
   // Unschedulable (org, loop) cells are sweep *data* — the paper's grid
@@ -530,7 +575,6 @@ int CmdSweep(const Args& args) {
                    "memory tier\n");
       ok = false;
     }
-    if (args.Flag("cache") == nullptr) fs::remove_all(sopt.cache_dir, ec);
     std::printf("sweep smoke: %s\n", ok ? "PASS" : "FAIL");
   } else {
     report = service::RunSweep(spec, base_dir, sopt);
@@ -541,6 +585,7 @@ int CmdSweep(const Args& args) {
 
   const std::string* out_dir = args.Flag("out-dir");
   const std::string dir = out_dir != nullptr ? *out_dir : ".";
+  std::error_code ec;
   fs::create_directories(dir, ec);
   const std::string csv_path =
       (fs::path(dir) / (report.name + ".csv")).string();
@@ -680,26 +725,10 @@ int CmdSmoke(const Args& args) {
   if (args.positional.size() != 1 || !CheckFlags(args, {"cache"})) {
     return Usage();
   }
+  const SmokeCacheDir cache(args, "smoke", "hcrf-smoke-cache");
+  if (!cache.ok()) return 1;
   service::BatchOptions bopt;
-  std::error_code ec;
-  if (const std::string* c = args.Flag("cache")) {
-    // Never delete a user-supplied directory; the cold run just needs it
-    // empty, so refuse anything with existing contents.
-    bopt.cache_dir = *c;
-    if (fs::exists(bopt.cache_dir, ec) && !fs::is_empty(bopt.cache_dir, ec)) {
-      std::fprintf(stderr,
-                   "smoke: --cache=%s exists and is not empty; smoke needs a "
-                   "cold cache and will not delete user data\n",
-                   bopt.cache_dir.c_str());
-      return 1;
-    }
-  } else {
-    bopt.cache_dir =
-        (fs::temp_directory_path() /
-         ("hcrf-smoke-cache-" + std::to_string(::getpid())))
-            .string();
-    fs::remove_all(bopt.cache_dir, ec);
-  }
+  bopt.cache_dir = cache.dir();
 
   std::printf("== cold run ==\n");
   service::BatchReport cold;
@@ -737,7 +766,6 @@ int CmdSmoke(const Args& args) {
       }
     }
   }
-  if (args.Flag("cache") == nullptr) fs::remove_all(bopt.cache_dir, ec);
   std::printf("smoke: %s (%d loops, warm run served %d from cache)\n",
               ok ? "PASS" : "FAIL", static_cast<int>(warm.items.size()),
               warm.hits);
@@ -819,25 +847,16 @@ int CmdRepro(const Args& args) {
 
   std::vector<const experiment::Experiment*> selection;
   if (const std::string* only = args.Flag("only")) {
-    size_t start = 0;
-    while (start <= only->size()) {
-      const size_t comma = only->find(',', start);
-      const std::string name = only->substr(
-          start,
-          comma == std::string::npos ? std::string::npos : comma - start);
-      if (!name.empty()) {
-        const experiment::Experiment* e = experiment::FindExperiment(name);
-        if (e == nullptr) {
-          std::fprintf(stderr,
-                       "hcrf_sched: unknown experiment '%s' (see repro "
-                       "--list)\n",
-                       name.c_str());
-          return 1;
-        }
-        selection.push_back(e);
+    for (const std::string& name : SplitCommas(*only)) {
+      const experiment::Experiment* e = experiment::FindExperiment(name);
+      if (e == nullptr) {
+        std::fprintf(stderr,
+                     "hcrf_sched: unknown experiment '%s' (see repro "
+                     "--list)\n",
+                     name.c_str());
+        return 1;
       }
-      if (comma == std::string::npos) break;
-      start = comma + 1;
+      selection.push_back(e);
     }
     if (selection.empty()) {
       std::fprintf(stderr, "hcrf_sched: --only selected no experiments\n");
@@ -853,24 +872,11 @@ int CmdRepro(const Args& args) {
     ropt.threads = ParseIntFlag("threads", *t);
   }
 
-  std::error_code ec;
+  std::optional<SmokeCacheDir> smoke_cache;
   if (ropt.smoke) {
-    // Same cold-cache contract as the other smoke commands: never delete a
-    // user-supplied directory, refuse one with existing contents.
-    if (ropt.cache_dir.empty()) {
-      ropt.cache_dir =
-          (fs::temp_directory_path() /
-           ("hcrf-repro-smoke-" + std::to_string(::getpid())))
-              .string();
-      fs::remove_all(ropt.cache_dir, ec);
-    } else if (fs::exists(ropt.cache_dir, ec) &&
-               !fs::is_empty(ropt.cache_dir, ec)) {
-      std::fprintf(stderr,
-                   "repro --smoke: --cache=%s exists and is not empty; the "
-                   "cold run needs a fresh cache\n",
-                   ropt.cache_dir.c_str());
-      return 1;
-    }
+    smoke_cache.emplace(args, "repro --smoke", "hcrf-repro-smoke");
+    if (!smoke_cache->ok()) return 1;
+    ropt.cache_dir = smoke_cache->dir();
   }
 
   experiment::ReproReport report;
@@ -912,7 +918,6 @@ int CmdRepro(const Args& args) {
       ok = false;
     }
     if (warm.ref_failures != 0) ok = false;
-    if (args.Flag("cache") == nullptr) fs::remove_all(ropt.cache_dir, ec);
     std::printf("repro smoke: %s\n", ok ? "PASS" : "FAIL");
   } else {
     report = experiment::RunExperiments(selection, ropt);
@@ -924,6 +929,7 @@ int CmdRepro(const Args& args) {
 
   const std::string* out_dir = args.Flag("out");
   const std::string dir = out_dir != nullptr ? *out_dir : ".";
+  std::error_code ec;
   fs::create_directories(dir, ec);
   const std::string csv_path = (fs::path(dir) / "repro.csv").string();
   const std::string md_path = (fs::path(dir) / "repro.md").string();
@@ -1073,29 +1079,19 @@ int CmdSubmit(const Args& args) {
   // front so a malformed spec fails before anything is submitted.
   std::vector<std::pair<int, int>> delta;
   if (const std::string* spec = args.Flag("delta")) {
-    size_t start = 0;
-    while (start <= spec->size()) {
-      const size_t comma = spec->find(',', start);
-      const std::string pair = spec->substr(
-          start,
-          comma == std::string::npos ? std::string::npos : comma - start);
-      if (!pair.empty()) {
-        const size_t colon = pair.find(':');
-        if (colon == std::string::npos) {
-          throw std::runtime_error("--delta: expected NODE:LATENCY, got '" +
-                                   pair + "'");
-        }
-        const int node = ParseIntFlag("delta", pair.substr(0, colon));
-        const int latency = ParseIntFlag("delta", pair.substr(colon + 1));
-        if (node < 0 || latency < 1) {
-          throw std::runtime_error(
-              "--delta: node must be >= 0 and latency >= 1 in '" + pair +
-              "'");
-        }
-        delta.emplace_back(node, latency);
+    for (const std::string& pair : SplitCommas(*spec)) {
+      const size_t colon = pair.find(':');
+      if (colon == std::string::npos) {
+        throw std::runtime_error("--delta: expected NODE:LATENCY, got '" +
+                                 pair + "'");
       }
-      if (comma == std::string::npos) break;
-      start = comma + 1;
+      const int node = ParseIntFlag("delta", pair.substr(0, colon));
+      const int latency = ParseIntFlag("delta", pair.substr(colon + 1));
+      if (node < 0 || latency < 1) {
+        throw std::runtime_error(
+            "--delta: node must be >= 0 and latency >= 1 in '" + pair + "'");
+      }
+      delta.emplace_back(node, latency);
     }
   }
 
@@ -1147,12 +1143,7 @@ int CmdSubmit(const Args& args) {
     if (item.cache_hit) ++hits;
     if (!quiet) PrintWireItem(requests[i].id, item);
     if (out_dir != nullptr && item.ok) {
-      std::string stem = requests[i].id;
-      for (char& c : stem) {
-        if (c == '/' || c == '\\') c = '_';
-      }
-      io::WriteFileAtomic((fs::path(*out_dir) / (stem + ".hclr")).string(),
-                          io::DumpResult(item.result));
+      WriteResultFile(*out_dir, requests[i].id, item.result);
     }
   }
   std::printf("submit: %zu requests, %d cache hits, %d failed (%s)\n",
