@@ -1,7 +1,7 @@
 // Post-scheduling metrics and the process-wide MII sweep cache.
 //
 // Schedules come from service::SchedulerService::RunBatch (the one batch
-// path: parallel over the shared ThreadPool, cache-backed). This header
+// path: parallel over the shared TaskPool, cache-backed). This header
 // turns each result into the paper's per-loop metrics and holds the MII
 // memo RunBatch consults before scheduling: the bound depends only on the
 // graph, the latency table and the global FU / memory-port counts, all of

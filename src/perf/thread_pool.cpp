@@ -1,107 +1,13 @@
 #include "perf/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <string>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace hcrf::perf {
-
-ThreadPool& ThreadPool::Shared() {
-  static ThreadPool* pool = [] {
-    auto* p = new ThreadPool();  // leaked: lives for the process
-    obs::GetGauge("thread_pool.workers").Set(p->num_workers());
-    return p;
-  }();
-  return *pool;
-}
-
-ThreadPool::ThreadPool(int threads) {
-  const int n =
-      threads > 0
-          ? threads
-          : static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  // The calling thread participates in every job, so n workers give n+1-way
-  // parallelism; keep the worker count at n-1 so `threads` counts the
-  // caller, as BatchOptions::threads does.
-  workers_.reserve(static_cast<size_t>(std::max(0, n - 1)));
-  for (int i = 0; i < n - 1; ++i) {
-    workers_.emplace_back([this, i] {
-      obs::Tracer::SetThreadName("pool-worker-" + std::to_string(i + 1));
-      WorkerLoop();
-    });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    MutexLock lk(mu_);
-    stop_ = true;
-  }
-  work_cv_.NotifyAll();
-  for (std::thread& t : workers_) t.join();
-}
-
-void ThreadPool::RunItems() {
-  while (job_.active && job_.next < job_.n) {
-    const std::size_t i = job_.next++;
-    const auto* fn = job_.fn;
-    mu_.unlock();
-    (*fn)(i);
-    mu_.lock();
-    if (--job_.remaining == 0) done_cv_.NotifyAll();
-  }
-}
-
-void ThreadPool::WorkerLoop() {
-  std::uint64_t seen = 0;
-  mu_.lock();
-  while (true) {
-    while (!stop_ && !(job_.active && job_.generation != seen)) {
-      work_cv_.Wait(mu_);
-    }
-    if (stop_) break;
-    seen = job_.generation;
-    if (job_.entrants_left <= 0) continue;  // width cap reached
-    --job_.entrants_left;
-    RunItems();
-  }
-  mu_.unlock();
-}
-
-void ThreadPool::ParallelFor(std::size_t n, int max_workers,
-                             const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  static obs::Counter& jobs = obs::GetCounter("thread_pool.jobs");
-  static obs::Counter& items = obs::GetCounter("thread_pool.items");
-  jobs.Add(1);
-  items.Add(static_cast<long>(n));
-  if (max_workers <= 1 || n == 1 || workers_.empty()) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  MutexLock session(session_mu_);
-  mu_.lock();
-  job_.fn = &fn;
-  job_.n = n;
-  job_.next = 0;
-  job_.remaining = n;
-  job_.entrants_left = max_workers - 1;  // the caller takes one slot
-  ++job_.generation;
-  job_.active = true;
-  mu_.unlock();
-  work_cv_.NotifyAll();
-  mu_.lock();
-  RunItems();
-  while (job_.remaining != 0) done_cv_.Wait(mu_);
-  job_.active = false;
-  mu_.unlock();
-}
-
-// ---------------------------------------------------------------------------
-// TaskPool / TaskGroup
-// ---------------------------------------------------------------------------
 
 TaskPool& TaskPool::Shared() {
   static TaskPool* pool = [] {
@@ -192,6 +98,25 @@ void TaskGroup::RunAndWait() {
     done_cv_.Wait(pool_.mu_);
   }
   pool_.mu_.unlock();
+}
+
+void ParallelFor(TaskPool& pool, std::size_t n, int width,
+                 const std::function<void(std::size_t)>& fn) {
+  const std::size_t lanes = std::min<std::size_t>(
+      {n, static_cast<std::size_t>(std::max(width, 1)),
+       static_cast<std::size_t>(pool.num_workers()) + 1});
+  if (lanes <= 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  std::atomic<std::size_t> next{0};
+  const auto lane = [&] {
+    for (std::size_t i = next++; i < n; i = next++) fn(i);
+  };
+  TaskGroup group(pool);
+  for (std::size_t l = 1; l < lanes; ++l) group.Submit(lane);
+  lane();
+  group.RunAndWait();
 }
 
 }  // namespace hcrf::perf

@@ -2,8 +2,8 @@
 //
 // A manifest (`hcl 1 manifest`) lists scheduling requests — a dependence
 // graph file plus the machine configuration and options to schedule it
-// under. The batch scheduler loads the requests, dispatches them through
-// the shared perf::ThreadPool, and backs them with the persistent
+// under. The batch scheduler loads the requests, fans them out over the
+// shared perf::TaskPool, and backs them with the persistent
 // DiskTier cache so repeated sweeps over a corpus skip scheduling entirely.
 //
 // Manifest grammar (one request per line, `#` comments allowed):
@@ -87,7 +87,7 @@ struct BatchOptions {
   long cache_mem_entries = 0;
   /// Memory-tier byte bound; 0 = the MemoryTier default (64 MiB).
   long cache_mem_bytes = 0;
-  /// Parallelism of the shared ThreadPool (0 = hardware concurrency,
+  /// Lanes per batch on the shared TaskPool (0 = hardware concurrency,
   /// 1 = strictly serial on the caller).
   int threads = 0;
   /// Hardware model used when a manifest entry asks for characterization.

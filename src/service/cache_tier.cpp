@@ -300,10 +300,8 @@ std::optional<core::ScheduleResult> MemoryTier::GetNear(
 // ---------------------------------------------------------------------------
 
 TieredCache::TieredCache(std::unique_ptr<MemoryTier> memory,
-                         std::unique_ptr<DiskTier> disk, bool write_behind)
-    : memory_(std::move(memory)),
-      disk_(std::move(disk)),
-      write_behind_(write_behind) {}
+                         std::unique_ptr<DiskTier> disk)
+    : memory_(std::move(memory)), disk_(std::move(disk)) {}
 
 TieredCache::~TieredCache() { Drain(); }
 
@@ -322,16 +320,12 @@ std::optional<core::ScheduleResult> TieredCache::Get(const CacheKey& key) {
 void TieredCache::Put(const CacheKey& key, const core::ScheduleResult& result) {
   const std::string body = io::DumpResult(result);
   memory_->PutSized(key, result, static_cast<long>(body.size()));
-  if (write_behind_) {
-    // The scheduling worker returns immediately; the filesystem write runs
-    // on the process task pool (safe to feed from any thread, including
-    // pool workers). Racing writers of one key produce identical bytes and
-    // DiskTier writes are atomic, so ordering does not matter.
-    DiskTier* disk = disk_.get();
-    writes_.Submit([disk, key, body] { disk->PutBody(key, body); });
-  } else {
-    disk_->PutBody(key, body);
-  }
+  // The scheduling worker returns immediately; the filesystem write runs
+  // on the write-behind pool (safe to feed from any thread). Racing
+  // writers of one key produce identical bytes and DiskTier writes are
+  // atomic, so ordering does not matter.
+  DiskTier* disk = disk_.get();
+  writes_.Submit([disk, key, body] { disk->PutBody(key, body); });
 }
 
 void TieredCache::Drain() { writes_.RunAndWait(); }

@@ -17,8 +17,8 @@
 //    bound means what an operator thinks it means.
 //  * TieredCache — MemoryTier in front of DiskTier. Gets probe memory
 //    first, then disk (promoting hits); Puts land in memory and are
-//    written behind to disk on the process TaskPool, so the
-//    scheduling worker never waits on the filesystem. Drain() settles
+//    written behind to disk on a one-worker TaskPool the stack owns, so
+//    the scheduling worker never waits on the filesystem. Drain() settles
 //    every queued write (the daemon calls it on SIGTERM; one-shot runs
 //    drain before reporting).
 //
@@ -252,11 +252,8 @@ class MemoryTier : public CacheTier {
 /// are required; single-tier configurations use the tier directly.
 class TieredCache : public CacheTier {
  public:
-  /// `write_behind` = false degrades disk writes to synchronous (used by
-  /// tests that need deterministic write counts mid-run; the service
-  /// default is asynchronous).
   TieredCache(std::unique_ptr<MemoryTier> memory,
-              std::unique_ptr<DiskTier> disk, bool write_behind = true);
+              std::unique_ptr<DiskTier> disk);
   ~TieredCache() override;  ///< Drains queued writes.
 
   std::optional<core::ScheduleResult> Get(const CacheKey& key) override;
@@ -286,10 +283,14 @@ class TieredCache : public CacheTier {
  private:
   std::unique_ptr<MemoryTier> memory_;
   std::unique_ptr<DiskTier> disk_;
-  bool write_behind_ = true;
+  /// The write-behind lane. Its own pool rather than TaskPool::Shared():
+  /// that queue is FIFO, so a write queued during a full-width batch would
+  /// wait behind lanes that run until the batch ends.
+  perf::TaskPool write_pool_{1};
   /// Queued disk writes; destructed (and therefore drained) before the
-  /// tiers above it, so tasks never outlive the DiskTier they target.
-  perf::TaskGroup writes_{perf::TaskPool::Shared()};
+  /// pool and the tiers above it, so tasks never outlive the DiskTier
+  /// they target.
+  perf::TaskGroup writes_{write_pool_};
 };
 
 }  // namespace hcrf::service

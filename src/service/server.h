@@ -48,10 +48,11 @@
 // workers on a single-core host (tasks would then only run when the
 // drain path steals them, i.e. never while serving). A dedicated pool
 // guarantees every admitted connection a lane and keeps connection
-// handling out of the cache write-behind lanes. Handlers schedule
-// through the shared SchedulerService; concurrent RunBatch calls
-// serialize on the ThreadPool's session mutex, so batches execute back
-// to back while their connections overlap on parsing and serialization.
+// handling out of the batch lanes. Handlers schedule through the shared
+// SchedulerService; concurrent RunBatch calls do not serialize — each
+// handler runs one lane of its own batch and their other lanes share
+// TaskPool::Shared()'s workers, so overlapping submissions overlap in
+// scheduling too.
 //
 // Drain semantics: RequestStop() is async-signal-safe (it only writes
 // the self-pipe; the CLI wires SIGTERM/SIGINT to it). The poll loop then

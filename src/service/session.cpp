@@ -54,8 +54,7 @@ SchedulerService::SchedulerService(const ServiceConfig& config)
     if (want_disk) {
       auto disk = std::make_unique<DiskTier>(config_.cache_dir);
       disk_ = disk.get();
-      cache_ = std::make_unique<TieredCache>(std::move(mem), std::move(disk),
-                                             config_.write_behind);
+      cache_ = std::make_unique<TieredCache>(std::move(mem), std::move(disk));
     } else {
       cache_ = std::move(mem);
     }
@@ -90,10 +89,10 @@ BatchReport SchedulerService::RunBatch(
   const TierStats mem_before = memory_stats();
 
   const auto wall0 = std::chrono::steady_clock::now();
-  perf::ThreadPool& pool = perf::ThreadPool::Shared();
-  const int max_workers =
+  perf::TaskPool& pool = perf::TaskPool::Shared();
+  const int width =
       config_.threads > 0 ? config_.threads : pool.num_workers() + 1;
-  pool.ParallelFor(requests.size(), max_workers, [&](size_t i) {
+  perf::ParallelFor(pool, requests.size(), width, [&](size_t i) {
     static obs::Counter& req_count = obs::GetCounter("service.requests");
     static obs::Counter& hit_count = obs::GetCounter("service.cache_hits");
     static obs::Histogram& req_hist =

@@ -15,16 +15,17 @@
 //    TieredCache, per ServiceConfig) for its whole lifetime; batch calls
 //    borrow it. Per-batch stats are deltas of the stack counters around
 //    the call.
-//  * The worker pools stay process-wide (perf::ThreadPool::Shared(),
-//    perf::TaskPool::Shared()); the session only carries the parallelism
-//    cap applied per batch.
+//  * Batch lanes run on the process-wide perf::TaskPool::Shared(); the
+//    session only carries the parallelism cap applied per batch. The
+//    write-behind lane is the TieredCache's own one-worker pool.
 //  * Drain() settles the write-behind queue; the destructor drains too.
 //    A one-shot wrapper drains before reporting (exact counters), the
 //    daemon drains on SIGTERM.
 //
 // Thread safety: RunBatch may be called from multiple threads (the server
-// dispatches concurrent submissions); calls serialize on the shared
-// pool's session mutex, and the cache stack and stats snapshots are
+// dispatches concurrent submissions). Concurrent calls do not serialize:
+// each fans out through its own perf::ParallelFor, and their lanes share
+// the shared pool's workers; the cache stack and stats snapshots are
 // internally synchronized.
 #pragma once
 
@@ -47,9 +48,6 @@ struct ServiceConfig {
   long cache_mem_entries = 0;
   /// Memory-tier byte bound; 0 = the MemoryTier default (64 MiB).
   long cache_mem_bytes = 0;
-  /// Disk writes ride the TaskPool (Drain() settles them). Tests
-  /// that need deterministic write counts mid-run switch to synchronous.
-  bool write_behind = true;
   /// Parallelism cap per batch (0 = hardware concurrency).
   int threads = 0;
   hw::RFModelMode rf_model = hw::RFModelMode::kPaperTable;
@@ -69,9 +67,10 @@ class SchedulerService {
 
   /// Schedules every request in parallel against the session cache stack.
   /// Never throws for per-request failures; they surface as failed items.
-  /// report.cache / report.mem_cache are deltas over this call; with
-  /// write-behind on, `writes` may still be in flight at return (Drain()
-  /// for exact totals — the one-shot wrappers do).
+  /// report.cache / report.mem_cache are deltas over this call's window
+  /// (they include any batch running concurrently on this session); disk
+  /// `writes` may still be in flight at return (Drain() for exact totals —
+  /// the one-shot wrappers do).
   BatchReport RunBatch(const std::vector<BatchRequest>& requests);
 
   /// Loads `manifest_path`, resolves its requests and runs them through
@@ -79,7 +78,7 @@ class SchedulerService {
   /// manifest throws.
   BatchReport RunManifest(const std::string& manifest_path);
 
-  /// Settles the write-behind queue (no-op for synchronous stacks).
+  /// Settles the write-behind queue (no-op for single-tier caches).
   void Drain();
 
   bool has_cache() const { return cache_ != nullptr; }

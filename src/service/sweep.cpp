@@ -351,21 +351,6 @@ SweepReport RunSweep(const SweepSpec& spec, const std::string& base_dir,
   return report;
 }
 
-SweepReport RunSweep(const SweepSpec& spec, const std::string& base_dir,
-                     const SweepOptions& opt) {
-  ServiceConfig config;
-  config.cache_dir = opt.cache_dir;
-  config.cache_mem_entries = opt.cache_mem_entries;
-  config.cache_mem_bytes = opt.cache_mem_bytes;
-  config.threads = opt.threads;
-  config.rf_model = opt.rf_model;
-  SchedulerService session(config);
-  SweepReport report = RunSweep(spec, base_dir, session);
-  session.Drain();
-  if (session.has_cache()) report.cache = session.tier_stats();
-  return report;
-}
-
 std::string SweepCsv(const SweepReport& report) {
   std::string out = "org,loop,status,ii,mii,sc,bound,comm_ops,spill_ops\n";
   for (const SweepCell& c : report.cells) {

@@ -7,7 +7,7 @@
 // names plus an optional generative cross product of cluster counts ×
 // per-cluster register capacities × shared-bank capacities. The executor
 // expands the grid into per-(loop, machine) requests, dispatches them
-// through the batch scheduler (shared perf::ThreadPool + persistent
+// through the batch scheduler (SchedulerService::RunBatch + persistent
 // DiskTier cache, so a warm rerun is fully cache-served and the shared MII
 // cache amortizes across configurations), and aggregates the results into
 // per-organization comparison tables — achieved II vs MII, bound-class
@@ -91,19 +91,6 @@ struct SweepPlan {
 SweepPlan ExpandSweepMachines(const SweepSpec& spec,
                               hw::RFModelMode rf_model);
 
-struct SweepOptions {
-  /// Persistent schedule cache directory; empty disables caching.
-  std::string cache_dir;
-  /// Memory-tier entry bound (`--cache-mem`); 0 disables the hot tier.
-  long cache_mem_entries = 0;
-  /// Memory-tier byte bound; 0 = the MemoryTier default.
-  long cache_mem_bytes = 0;
-  /// Parallelism cap of the batch (BatchOptions::threads: 0 = hardware
-  /// concurrency, 1 = strictly serial on the caller).
-  int threads = 0;
-  hw::RFModelMode rf_model = hw::RFModelMode::kPaperTable;
-};
-
 /// One (organization, loop) cell of the sweep matrix — the deterministic
 /// subset of a ScheduleResult the reports are built from.
 struct SweepCell {
@@ -139,13 +126,11 @@ class SchedulerService;
 /// file's directory) and schedules every (organization, loop) pair
 /// through the batch scheduler. Throws on an unloadable workload or an
 /// empty expansion; per-cell scheduling failures surface as failed cells.
-/// The session form schedules through an existing resident session (its
-/// cache stack and parallelism config; report.cache is the per-call
-/// delta); the options form wraps a transient, drained session.
+/// Schedules through `session` (its cache stack and parallelism config);
+/// report.cache is the per-call delta — Drain() the session and read its
+/// tier_stats() for exact disk-write totals.
 SweepReport RunSweep(const SweepSpec& spec, const std::string& base_dir,
                      SchedulerService& session);
-SweepReport RunSweep(const SweepSpec& spec, const std::string& base_dir,
-                     const SweepOptions& opt);
 
 /// Deterministic report renderings (identical for cold and warm runs).
 /// CSV: one row per cell — org,loop,status,ii,mii,sc,bound,comm_ops,

@@ -160,17 +160,17 @@ TEST(ConcurrencyStress, TaskPoolWorkerlessDrain) {
   EXPECT_EQ(ran.load(std::memory_order_relaxed), 64);
 }
 
-// Concurrent ParallelFor sessions from independent threads: sessions are
-// serialized by the pool's session mutex, every item of every session must
-// run exactly once, and item distribution races only through the guarded
-// job slot. This is the TSan probe for the ThreadPool's job handoff. A
-// dedicated 4-wide pool (not Shared()) guarantees real worker threads even
-// on single-core hosts, where the shared pool is worker-less and would
-// degrade every session to the serial fallback.
-TEST(ConcurrencyStress, ThreadPoolConcurrentSessions) {
+// Concurrent ParallelFor calls from independent threads on one pool: the
+// calls do not serialize — their lanes share the workers — and every item
+// of every call must run exactly once, each call distributing indices
+// through its own cursor. This is the TSan probe for concurrent batches.
+// A dedicated 4-worker pool (not Shared()) guarantees real worker threads
+// even on single-core hosts, where the shared pool is worker-less and
+// every call would degrade to the serial path.
+TEST(ConcurrencyStress, ParallelForConcurrentCallers) {
   constexpr int kCallers = 4;
   constexpr int kItems = 512;
-  perf::ThreadPool pool(4);
+  perf::TaskPool pool(4);
 
   std::vector<std::thread> callers;
   std::vector<std::vector<std::atomic<int>>> hits(kCallers);
@@ -181,7 +181,7 @@ TEST(ConcurrencyStress, ThreadPoolConcurrentSessions) {
   callers.reserve(kCallers);
   for (int c = 0; c < kCallers; ++c) {
     callers.emplace_back([&pool, &hits, c] {
-      pool.ParallelFor(kItems, /*max_workers=*/4, [&hits, c](std::size_t i) {
+      perf::ParallelFor(pool, kItems, /*width=*/4, [&hits, c](std::size_t i) {
         hits[c][i].fetch_add(1, std::memory_order_relaxed);
       });
     });
@@ -190,7 +190,7 @@ TEST(ConcurrencyStress, ThreadPoolConcurrentSessions) {
   for (int c = 0; c < kCallers; ++c) {
     for (int i = 0; i < kItems; ++i) {
       ASSERT_EQ(hits[c][i].load(std::memory_order_relaxed), 1)
-          << "session " << c << " item " << i;
+          << "caller " << c << " item " << i;
     }
   }
 }

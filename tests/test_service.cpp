@@ -6,9 +6,12 @@
 
 #include <filesystem>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "io/hcl.h"
 #include "service/batch.h"
+#include "service/session.h"
 #include "workload/kernels.h"
 #include "workload/perfect_synth.h"
 
@@ -19,6 +22,23 @@ namespace fs = std::filesystem;
 
 std::string CorpusPath(const std::string& rel) {
   return (fs::path(HCRF_CORPUS_DIR) / rel).string();
+}
+
+/// `n` synthetic loops on the baseline machine, one request each.
+std::vector<service::BatchRequest> SynthRequests(int n) {
+  workload::SynthParams p;
+  p.num_loops = n;
+  const auto suite =
+      std::make_shared<const workload::Suite>(workload::PerfectSynthetic(p));
+  std::vector<service::BatchRequest> requests;
+  for (size_t i = 0; i < suite->size(); ++i) {
+    service::BatchRequest req;
+    req.id = "synth-" + std::to_string(i);
+    req.loop = std::shared_ptr<const workload::Loop>(suite, &(*suite)[i]);
+    req.machine = MachineConfig::Baseline();
+    requests.push_back(std::move(req));
+  }
+  return requests;
 }
 
 TEST(Manifest, ParsesRequestsWithDefaultsAndOverrides) {
@@ -82,18 +102,7 @@ TEST(BatchService, SchedulesRequestsWithoutACache) {
 // Parallel dispatch is invisible in the results: a batch over the shared
 // pool schedules exactly what a serial batch does.
 TEST(BatchService, ParallelMatchesSerial) {
-  workload::SynthParams p;
-  p.num_loops = 60;
-  const auto suite =
-      std::make_shared<const workload::Suite>(workload::PerfectSynthetic(p));
-  std::vector<service::BatchRequest> requests;
-  for (size_t i = 0; i < suite->size(); ++i) {
-    service::BatchRequest req;
-    req.id = "synth-" + std::to_string(i);
-    req.loop = std::shared_ptr<const workload::Loop>(suite, &(*suite)[i]);
-    req.machine = MachineConfig::Baseline();
-    requests.push_back(std::move(req));
-  }
+  const std::vector<service::BatchRequest> requests = SynthRequests(60);
   service::BatchOptions serial;
   serial.threads = 1;
   service::BatchOptions parallel;
@@ -108,6 +117,61 @@ TEST(BatchService, ParallelMatchesSerial) {
               io::DumpResult(b.items[i].result))
         << i;
   }
+}
+
+// Concurrent batches on one session share the pool's lanes instead of
+// queueing behind each other. Every caller must still see exactly the
+// serial schedules, and the stack's counters must account for every item
+// of every batch (no GetNear here: warm start is off).
+TEST(BatchService, ConcurrentBatchesOnOneSessionMatchSerial) {
+  constexpr int kCallers = 4;
+  const std::vector<service::BatchRequest> requests = SynthRequests(24);
+  service::BatchOptions serial_opt;
+  serial_opt.threads = 1;
+  const service::BatchReport serial = service::RunBatch(requests, serial_opt);
+
+  const fs::path cache_dir =
+      fs::path(::testing::TempDir()) / "hcrf-concurrent-batches";
+  fs::remove_all(cache_dir);
+  service::ServiceConfig config;
+  config.cache_dir = cache_dir.string();
+  config.cache_mem_entries = 256;
+  config.threads = 4;
+  service::SchedulerService session(config);
+
+  std::vector<service::BatchReport> reports(kCallers);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] { reports[c] = session.RunBatch(requests); });
+  }
+  for (std::thread& t : callers) t.join();
+  session.Drain();
+
+  long hits = 0;
+  long scheduled = 0;
+  for (const service::BatchReport& r : reports) {
+    ASSERT_EQ(r.items.size(), requests.size());
+    EXPECT_EQ(r.hits + r.scheduled, static_cast<int>(requests.size()));
+    EXPECT_EQ(r.failed, serial.failed);
+    hits += r.hits;
+    scheduled += r.scheduled;
+    for (size_t i = 0; i < requests.size(); ++i) {
+      EXPECT_EQ(r.items[i].id, requests[i].id);
+      EXPECT_EQ(io::DumpResult(r.items[i].result),
+                io::DumpResult(serial.items[i].result))
+          << requests[i].id;
+    }
+  }
+  // Every key is scheduled at least once; overlapping misses of one key
+  // may each schedule it, but every item is either a hit or a schedule.
+  EXPECT_GE(scheduled, static_cast<long>(requests.size()));
+  const service::TierStats stack = session.tier_stats();
+  EXPECT_EQ(stack.hits, hits);
+  EXPECT_EQ(stack.misses, scheduled);
+  EXPECT_EQ(stack.writes, scheduled);
+  EXPECT_EQ(service::DiskTier::Scan(config.cache_dir).entries,
+            static_cast<long>(requests.size()));
+  fs::remove_all(cache_dir);
 }
 
 TEST(BatchService, MissingGraphFileFailsItsItemOnly) {

@@ -7,6 +7,7 @@
 #include <filesystem>
 
 #include "io/hcl.h"
+#include "service/session.h"
 #include "service/sweep.h"
 
 namespace hcrf {
@@ -150,18 +151,26 @@ TEST(Sweep, ColdThenWarmIsBitIdenticalAndFullyCacheServed) {
 
   const fs::path dir = fs::path(::testing::TempDir()) / "hcrf-sweep-accept";
   fs::remove_all(dir);
-  service::SweepOptions opt;
-  opt.cache_dir = (dir / "cache").string();
-  opt.threads = 2;
+  service::ServiceConfig config;
+  config.cache_dir = (dir / "cache").string();
+  config.threads = 2;
+  // One drained session per run: the warm run sees only what the cold
+  // run left on disk.
+  const auto run = [&] {
+    service::SchedulerService session(config);
+    SweepReport report = RunSweep(spec, dir.string(), session);
+    session.Drain();
+    return report;
+  };
 
-  const SweepReport cold = RunSweep(spec, dir.string(), opt);
+  const SweepReport cold = run();
   EXPECT_EQ(cold.orgs.size(), 3u);
   EXPECT_EQ(cold.loops.size(), 2u);
   EXPECT_EQ(cold.hits, 0);
   EXPECT_EQ(cold.scheduled, 6);
   EXPECT_EQ(cold.failed, 0);
 
-  const SweepReport warm = RunSweep(spec, dir.string(), opt);
+  const SweepReport warm = run();
   EXPECT_EQ(warm.scheduled, 0);
   EXPECT_EQ(warm.hits, static_cast<int>(warm.cells.size()));
   for (const service::SweepCell& c : warm.cells) {

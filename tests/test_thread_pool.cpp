@@ -1,8 +1,10 @@
-// Tests of the shared worker pool behind the batch path (RunBatch).
+// Tests of the one executor: TaskPool / TaskGroup and ParallelFor, the
+// index loop the batch path (RunBatch) fans out through.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "perf/thread_pool.h"
@@ -10,52 +12,58 @@
 namespace hcrf::perf {
 namespace {
 
-TEST(ThreadPool, RunsEveryItemExactlyOnce) {
-  ThreadPool pool(4);
+TEST(ParallelFor, RunsEveryItemExactlyOnce) {
+  TaskPool pool(3);
   std::vector<std::atomic<int>> hits(257);
-  pool.ParallelFor(hits.size(), 4, [&](size_t i) { ++hits[i]; });
+  ParallelFor(pool, hits.size(), 4, [&](size_t i) { ++hits[i]; });
   for (size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << i;
   }
 }
 
-TEST(ThreadPool, SerialAndParallelAgree) {
-  ThreadPool pool(3);
-  auto run = [&](int workers) {
+TEST(ParallelFor, SerialAndParallelAgree) {
+  TaskPool pool(2);
+  auto run = [&](int width) {
     std::vector<long> out(100);
-    pool.ParallelFor(out.size(), workers,
-                     [&](size_t i) { out[i] = static_cast<long>(i * i); });
-    return std::accumulate(out.begin(), out.end(), 0L);
+    ParallelFor(pool, out.size(), width,
+                [&](size_t i) { out[i] = static_cast<long>(i * i); });
+    return out;
   };
   EXPECT_EQ(run(1), run(3));
 }
 
-TEST(ThreadPool, ReusableAcrossManyCalls) {
-  // The point of the pool: many sweeps reuse the same workers. Hammer it.
-  ThreadPool pool(2);
+TEST(ParallelFor, ReusableAcrossManyCalls) {
+  // Many batches reuse the same workers. Hammer it.
+  TaskPool pool(1);
   std::atomic<long> total{0};
   for (int round = 0; round < 50; ++round) {
-    pool.ParallelFor(20, 2, [&](size_t) { ++total; });
+    ParallelFor(pool, 20, 2, [&](size_t) { ++total; });
   }
   EXPECT_EQ(total.load(), 50L * 20);
 }
 
-TEST(ThreadPool, EmptyAndSingleItem) {
-  ThreadPool pool(2);
+TEST(ParallelFor, EmptyAndSingleItem) {
+  TaskPool pool(1);
   std::atomic<int> n{0};
-  pool.ParallelFor(0, 4, [&](size_t) { ++n; });
+  ParallelFor(pool, 0, 4, [&](size_t) { ++n; });
   EXPECT_EQ(n.load(), 0);
-  pool.ParallelFor(1, 4, [&](size_t) { ++n; });
+  ParallelFor(pool, 1, 4, [&](size_t) { ++n; });
   EXPECT_EQ(n.load(), 1);
 }
 
-TEST(ThreadPool, SharedInstanceIsStable) {
-  ThreadPool& a = ThreadPool::Shared();
-  ThreadPool& b = ThreadPool::Shared();
-  EXPECT_EQ(&a, &b);
-  std::atomic<int> n{0};
-  a.ParallelFor(10, a.num_workers() + 1, [&](size_t) { ++n; });
-  EXPECT_EQ(n.load(), 10);
+TEST(ParallelFor, WorkerlessPoolRunsSeriallyOnTheCaller) {
+  // The single-core sizing of TaskPool::Shared(): 0 workers, so every
+  // item runs on the calling thread whatever width is asked for.
+  TaskPool pool(0);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> order;
+  ParallelFor(pool, 10, 4, [&](size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(static_cast<int>(i));
+  });
+  std::vector<int> expected(10);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(order, expected);
 }
 
 TEST(TaskPool, WorkerlessPoolRunsEverythingInline) {

@@ -15,8 +15,8 @@ mode it guards against:
                   bit-reproducible across runs and machines; rand()/
                   srand()/std::random_device are banned in src/ (seeded
                   mt19937 et al. are fine — the seed is part of the spec).
-  naked-thread    All parallelism goes through perf::ThreadPool /
-                  perf::TaskPool so saturation, tracing and
+  naked-thread    All parallelism goes through perf::TaskPool (TaskGroup,
+                  ParallelFor) so saturation, tracing and
                   shutdown stay centralized; raw std::thread construction
                   outside src/perf/ is a smell (std::thread::id and
                   std::this_thread remain free).
@@ -236,7 +236,7 @@ class Linter:
                                                 line):
                 self.report(rel, lineno, "naked-thread",
                             "raw std::thread outside perf/; go through "
-                            "perf::ThreadPool / perf::TaskPool")
+                            "perf::TaskPool (TaskGroup, ParallelFor)")
             if (not rel.startswith(PLACEMENT_FUNNEL_ALLOWED_DIRS)
                     and rel not in PLACEMENT_FUNNEL_ALLOWLIST):
                 if re.search(r"\bsched(?:ule)?\s*(?:->|\.)\s*"

@@ -265,9 +265,10 @@ void MaybeDumpStats(const Args& args) {
 
 /// `--trace=FILE`: brackets the command body with the flight recorder and
 /// writes the Chrome trace_event JSON when it returns. The export happens
-/// after the body — i.e. after every ParallelFor / TaskGroup wait — so the
-/// tracer's quiescence contract holds (pool workers are parked, no spans
-/// in flight). Also applies `--stats` after the body, traced or not.
+/// after the body — i.e. after every batch's ParallelFor returned and the
+/// body's session drained its write-behind lane — so the tracer's
+/// quiescence contract holds (pool workers are parked, no spans in
+/// flight). Also applies `--stats` after the body, traced or not.
 template <typename Body>
 int RunTraced(const Args& args, Body&& body) {
   const std::string* trace = args.Flag("trace");
@@ -517,11 +518,11 @@ int CmdSweep(const Args& args) {
   const service::SweepSpec spec = service::LoadSweepSpecFile(spec_path);
   const std::string base_dir = fs::path(spec_path).parent_path().string();
 
-  service::SweepOptions sopt;
-  if (const std::string* c = args.Flag("cache")) sopt.cache_dir = *c;
-  CacheMemFromFlags(args, &sopt.cache_mem_entries, &sopt.cache_mem_bytes);
+  service::ServiceConfig config;
+  if (const std::string* c = args.Flag("cache")) config.cache_dir = *c;
+  CacheMemFromFlags(args, &config.cache_mem_entries, &config.cache_mem_bytes);
   if (const std::string* t = args.Flag("threads")) {
-    sopt.threads = ParseIntFlag("threads", *t);
+    config.threads = ParseIntFlag("threads", *t);
   }
 
   const bool smoke = args.Flag("smoke") != nullptr;
@@ -529,32 +530,27 @@ int CmdSweep(const Args& args) {
   if (smoke) {
     smoke_cache.emplace(args, "sweep --smoke", "hcrf-sweep-smoke");
     if (!smoke_cache->ok()) return 1;
-    sopt.cache_dir = smoke_cache->dir();
+    config.cache_dir = smoke_cache->dir();
   }
 
   // Unschedulable (org, loop) cells are sweep *data* — the paper's grid
   // includes organizations where loops legitimately fail — so they do not
   // fail the command; only smoke-check violations below do.
-  service::SweepReport report;
+  service::SchedulerService session(config);
+  service::SweepReport report = service::RunSweep(spec, base_dir, session);
+  // Drained totals of the fresh session: exact write counts, and the
+  // smoke's warm leg probes a complete disk tier.
+  session.Drain();
+  if (session.has_cache()) report.cache = session.tier_stats();
+  PrintSweepSummary(report, config.cache_dir);
   bool ok = true;
   if (smoke) {
     // Cold and warm legs share ONE resident session: the warm run probes
     // the same cache stack the cold run populated, so with --cache-mem it
-    // is served from the memory tier. (The pre-session smoke built a
-    // fresh cache per run and could only ever warm-hit disk.)
-    service::ServiceConfig config;
-    config.cache_dir = sopt.cache_dir;
-    config.cache_mem_entries = sopt.cache_mem_entries;
-    config.cache_mem_bytes = sopt.cache_mem_bytes;
-    config.threads = sopt.threads;
-    config.rf_model = sopt.rf_model;
-    service::SchedulerService session(config);
-    report = service::RunSweep(spec, base_dir, session);
-    session.Drain();  // cold writes land before the warm leg probes disk
-    PrintSweepSummary(report, sopt.cache_dir);
+    // is served from the memory tier.
     const service::SweepReport warm =
         service::RunSweep(spec, base_dir, session);
-    PrintSweepSummary(warm, sopt.cache_dir);
+    PrintSweepSummary(warm, config.cache_dir);
     if (warm.scheduled != 0 ||
         warm.hits != static_cast<int>(warm.cells.size())) {
       std::fprintf(stderr,
@@ -569,16 +565,13 @@ int CmdSweep(const Args& args) {
                    "sweep --smoke: warm reports differ from cold reports\n");
       ok = false;
     }
-    if (sopt.cache_mem_entries > 0 && session.memory_stats().hits <= 0) {
+    if (config.cache_mem_entries > 0 && session.memory_stats().hits <= 0) {
       std::fprintf(stderr,
                    "sweep --smoke: --cache-mem warm run never hit the "
                    "memory tier\n");
       ok = false;
     }
     std::printf("sweep smoke: %s\n", ok ? "PASS" : "FAIL");
-  } else {
-    report = service::RunSweep(spec, base_dir, sopt);
-    PrintSweepSummary(report, sopt.cache_dir);
   }
   const std::string csv = service::SweepCsv(report);
   const std::string md = service::SweepMarkdown(report);
