@@ -1,14 +1,18 @@
 #include "experiment/run.h"
 
+#include <chrono>
 #include <cstdio>
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
 #include "memsim/prefetch.h"
+#include "obs/trace.h"
 #include "perf/runner.h"
+#include "perf/thread_pool.h"
 #include "service/batch.h"
 #include "service/session.h"
 #include "workload/suite_cache.h"
@@ -34,13 +38,25 @@ std::string FmtDelta(double v) {
 }
 
 /// Per-experiment expansion plan: the resolved workload plus, for every
-/// (machine, engine, loop) cell, the index of its deduplicated batch
-/// request.
+/// (machine, engine, loop) cell, the index of its metric job.
 struct Plan {
   const Experiment* def = nullptr;
   std::shared_ptr<const workload::Suite> owned;  ///< Slice storage.
   std::vector<std::shared_ptr<const workload::Loop>> loops;
-  std::vector<std::size_t> cell_request;
+  std::vector<std::size_t> cell_job;
+};
+
+/// One metric derivation: perf::MetricsFromResult of a batch result. The
+/// metrics read the schedule, the machine's latencies and the loop's node
+/// count, all covered by the request's cache key, and the loop's trip and
+/// invocation counts, which are not: two loops with one graph but
+/// different profiles share a request. Cells share a job only when the
+/// request, both counts and the memory flag agree.
+struct MetricJob {
+  std::size_t request = 0;
+  const workload::Loop* loop = nullptr;      ///< The first cell's loop.
+  const MachineConfig* machine = nullptr;    ///< The first cell's machine.
+  bool simulate_memory = false;
 };
 
 std::vector<std::shared_ptr<const workload::Loop>> ResolveWorkload(
@@ -110,14 +126,18 @@ ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
   // Expand every scheduling cell of every experiment into one flat batch,
   // deduplicated by schedule-cache key (identical (loop, machine, options,
   // overrides) cells — within or across experiments — schedule once).
+  // Each cell also names its metric job, deduplicated on the full tuple
+  // the metrics depend on (see MetricJob).
   std::vector<Plan> plans;
   std::vector<service::BatchRequest> requests;
   std::unordered_map<std::string, std::size_t> dedup;
+  std::vector<MetricJob> jobs;
+  std::map<std::tuple<std::size_t, long, long, bool>, std::size_t> job_of;
   for (const Experiment* def : sel) {
     Plan plan;
     plan.def = def;
     plan.loops = ResolveWorkload(def->workload, opt.smoke, &plan.owned);
-    plan.cell_request.reserve(def->CellsPerLoop() * plan.loops.size());
+    plan.cell_job.reserve(def->CellsPerLoop() * plan.loops.size());
     for (const MachineVariant& mv : def->machines) {
       for (const EngineVariant& ev : def->engines) {
         for (std::size_t l = 0; l < plan.loops.size(); ++l) {
@@ -138,7 +158,16 @@ ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
                   .Hex();
           const auto [it, inserted] = dedup.emplace(key, requests.size());
           if (inserted) requests.push_back(std::move(req));
-          plan.cell_request.push_back(it->second);
+          const std::size_t request = it->second;
+          const auto [job, fresh] = job_of.emplace(
+              std::make_tuple(request, loop->trip, loop->invocations,
+                              ev.simulate_memory),
+              jobs.size());
+          if (fresh) {
+            jobs.push_back(
+                {request, loop.get(), &mv.machine, ev.simulate_memory});
+          }
+          plan.cell_job.push_back(job->second);
         }
       }
     }
@@ -157,6 +186,32 @@ ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
   report.seconds = batch.seconds;
   report.timing = batch.timing;
 
+  // Derive every job's metrics in one parallel pass at the batch's width:
+  // jobs are independent and deterministic, each writes only its own slot,
+  // so the cells come out identical at any width. Metrics derive from the
+  // schedule alone (cache-served results are bit-identical to fresh
+  // ones), so a warm run reproduces the memory replay's stall cycles
+  // exactly.
+  std::vector<perf::LoopMetrics> job_metrics(jobs.size());
+  {
+    obs::TraceSpan span("experiment", "metrics");
+    const auto t0 = std::chrono::steady_clock::now();
+    perf::ParallelFor(
+        perf::TaskPool::Shared(), jobs.size(), session.batch_width(),
+        [&](std::size_t j) {
+          const MetricJob& job = jobs[j];
+          job_metrics[j] = perf::MetricsFromResult(
+              *job.loop, *job.machine, batch.items[job.request].result,
+              job.simulate_memory);
+        });
+    report.metrics_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+  }
+  for (const MetricJob& job : jobs) {
+    if (job.simulate_memory) ++report.replays;
+  }
+
   for (const Plan& plan : plans) {
     const Experiment* def = plan.def;
     ExperimentData data;
@@ -164,20 +219,9 @@ ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
     data.smoke = opt.smoke;
     data.loops.reserve(plan.loops.size());
     for (const auto& loop : plan.loops) data.loops.push_back(loop.get());
-    data.cells.resize(plan.cell_request.size());
-    for (std::size_t idx = 0; idx < plan.cell_request.size(); ++idx) {
-      const std::size_t per_machine = def->engines.size() * plan.loops.size();
-      const std::size_t m = idx / per_machine;
-      const std::size_t e = (idx % per_machine) / plan.loops.size();
-      const std::size_t l = idx % plan.loops.size();
-      const service::BatchItem& item = batch.items[plan.cell_request[idx]];
-      // Metrics derive deterministically from the schedule (cache-served
-      // results are bit-identical to fresh ones); the memory replay runs
-      // per cell, so a warm run reproduces stall cycles exactly.
-      data.cells[idx] =
-          perf::MetricsFromResult(*plan.loops[l], def->machines[m].machine,
-                                  item.result,
-                                  def->engines[e].simulate_memory);
+    data.cells.reserve(plan.cell_job.size());
+    for (const std::size_t j : plan.cell_job) {
+      data.cells.push_back(job_metrics[j]);
     }
 
     ExperimentResult res;
@@ -235,20 +279,6 @@ ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
     }
     report.experiments.push_back(std::move(res));
   }
-  return report;
-}
-
-ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
-                           const ReproOptions& opt) {
-  service::ServiceConfig config;
-  config.cache_dir = opt.cache_dir;
-  config.cache_mem_entries = opt.cache_mem_entries;
-  config.cache_mem_bytes = opt.cache_mem_bytes;
-  config.threads = opt.threads;
-  service::SchedulerService session(config);
-  ReproReport report = RunExperiments(selection, opt, session);
-  session.Drain();
-  if (session.has_cache()) report.cache = session.tier_stats();
   return report;
 }
 

@@ -7,8 +7,11 @@
 // appears in Tables 1 and 6) is scheduled once — and backed by the
 // persistent DiskTier: a warm rerun of the whole paper is served
 // from disk. Binding-prefetch cells carry their per-loop latency
-// overrides in the BatchRequest (part of the cache key); memory-system
-// stall cycles are replayed deterministically after the batch.
+// overrides in the BatchRequest (part of the cache key). After the batch,
+// the per-cell metrics (memory-system stall cycles included) are derived
+// in one parallel pass at the batch's width, once per distinct (request,
+// trip, invocations, memory) job: cells that share a job share its
+// deterministic result.
 //
 // Reports are deterministic: rows, reference deltas and verdicts only, no
 // timings or cache flags — a cold and a warm run emit byte-identical CSV
@@ -30,15 +33,12 @@ class SchedulerService;
 
 namespace hcrf::experiment {
 
+/// Per-call options; the cache stack and the parallelism are the
+/// session's (service::ServiceConfig).
 struct ReproOptions {
-  /// Persistent schedule cache directory; empty disables caching.
-  std::string cache_dir;
-  /// Memory-tier entry bound (`--cache-mem`); 0 disables the hot tier.
-  long cache_mem_entries = 0;
-  /// Memory-tier byte bound; 0 = the MemoryTier default.
-  long cache_mem_bytes = 0;
-  /// Parallelism cap of the batch (BatchOptions::threads: 0 = hardware
-  /// concurrency, 1 = strictly serial on the caller).
+  /// Not read by RunExperiments: the session sets every width
+  /// (SchedulerService::batch_width). Kept because existing callers set it
+  /// to their session's ServiceConfig::threads.
   int threads = 0;
   /// Run each experiment on its bounded smoke slice instead of the full
   /// workload. Workload-dependent reference values are reported but not
@@ -82,7 +82,13 @@ struct ReproReport {
   int scheduled = 0;  ///< Fresh MirsHC runs.
   int hits = 0;       ///< Requests served from the persistent cache.
   int ref_failures = 0;  ///< Enforced reference values out of tolerance.
-  double seconds = 0.0;
+  double seconds = 0.0;  ///< The scheduling batch only.
+  /// The parallel metric-derivation pass after the batch (memory replays
+  /// included).
+  double metrics_seconds = 0.0;
+  /// Memory-replay jobs derived: distinct (request, trip, invocations)
+  /// among the cells that simulate memory.
+  int replays = 0;
   /// Summed per-request phase timings of the scheduling batch (stdout
   /// summary only, like `cache`: reports stay byte-identical cold/warm).
   service::RequestTiming timing;
@@ -92,15 +98,13 @@ struct ReproReport {
 };
 
 /// Runs the selected experiments (every registry entry when `selection`
-/// is empty). Throws on an unknown suite name; per-cell scheduling
-/// failures are data and surface in the results. The session form
-/// schedules through an existing resident session (report.cache is the
-/// per-call delta); the options form wraps a transient, drained session.
+/// is empty) through `session`. Throws on an unknown suite name; per-cell
+/// scheduling failures are data and surface in the results. report.cache
+/// is the per-call delta; disk writes may still be in flight at return
+/// (session.Drain() for exact totals).
 ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
                            const ReproOptions& opt,
                            service::SchedulerService& session);
-ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
-                           const ReproOptions& opt);
 
 /// Deterministic renderings (identical cold and warm).
 /// CSV: experiment,row,metric,value,paper,delta,verdict — one line per

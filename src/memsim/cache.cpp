@@ -1,12 +1,28 @@
 #include "memsim/cache.h"
 
-#include <cstddef>
+#include <bit>
+
+#include "core/check.h"
 
 namespace hcrf::memsim {
 
 Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
-  ways_.assign(static_cast<size_t>(cfg_.NumSets()) *
-                   static_cast<size_t>(cfg_.associativity),
+  HCRF_CHECK(cfg_.line_bytes > 0 && cfg_.associativity > 0 &&
+                 cfg_.NumSets() > 0,
+             "cache geometry %ld B / %d B lines / %d ways has no sets",
+             cfg_.size_bytes, cfg_.line_bytes, cfg_.associativity);
+  line_bytes_ = static_cast<std::uint64_t>(cfg_.line_bytes);
+  sets_ = static_cast<std::uint64_t>(cfg_.NumSets());
+  HCRF_CHECK(line_bytes_ * sets_ >= 2,
+             "a one-byte, one-set cache leaves no tag for empty ways");
+  pow2_ = std::has_single_bit(line_bytes_) && std::has_single_bit(sets_);
+  if (pow2_) {
+    line_shift_ = std::countr_zero(line_bytes_);
+    set_shift_ = std::countr_zero(sets_);
+    set_mask_ = sets_ - 1;
+  }
+  ways_.assign(static_cast<std::size_t>(sets_) *
+                   static_cast<std::size_t>(cfg_.associativity),
                Way{});
 }
 
@@ -17,44 +33,11 @@ void Cache::Reset() {
   misses_ = 0;
 }
 
-bool Cache::Access(std::uint64_t addr) {
-  const std::uint64_t line = addr / static_cast<std::uint64_t>(cfg_.line_bytes);
-  const std::uint64_t set =
-      line % static_cast<std::uint64_t>(cfg_.NumSets());
-  const std::uint64_t tag = line / static_cast<std::uint64_t>(cfg_.NumSets());
-  Way* base = &ways_[static_cast<size_t>(set) *
-                     static_cast<size_t>(cfg_.associativity)];
-  ++tick_;
-  Way* victim = base;
-  for (int a = 0; a < cfg_.associativity; ++a) {
-    Way& w = base[a];
-    if (w.valid && w.tag == tag) {
-      w.lru = tick_;
-      ++hits_;
-      return true;
-    }
-    if (!w.valid || w.lru < victim->lru) {
-      if (!victim->valid && w.valid) continue;  // prefer invalid victims
-      victim = &w;
-    }
-  }
-  // Miss: fill.
-  victim->valid = true;
-  victim->tag = tag;
-  victim->lru = tick_;
-  ++misses_;
-  return false;
-}
-
 bool Cache::Probe(std::uint64_t addr) const {
-  const std::uint64_t line = addr / static_cast<std::uint64_t>(cfg_.line_bytes);
-  const std::uint64_t set =
-      line % static_cast<std::uint64_t>(cfg_.NumSets());
-  const std::uint64_t tag = line / static_cast<std::uint64_t>(cfg_.NumSets());
-  const Way* base = &ways_[static_cast<size_t>(set) *
-                           static_cast<size_t>(cfg_.associativity)];
+  std::uint64_t tag = 0;
+  const Way* base = &ways_[FirstWay(addr, &tag)];
   for (int a = 0; a < cfg_.associativity; ++a) {
-    if (base[a].valid && base[a].tag == tag) return true;
+    if (base[a].tag == tag) return true;
   }
   return false;
 }

@@ -3,6 +3,7 @@
 // Associativity is not specified in the paper; we use 2-way LRU.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -20,13 +21,38 @@ struct CacheConfig {
 /// Timing-free tag array: Lookup returns hit/miss and updates LRU and
 /// contents (fill on miss). Miss overlap timing is handled by LoopReplay,
 /// which owns the MSHR occupancy model.
+///
+/// Indexing uses shifts and masks when the line size and the set count are
+/// powers of two (the paper's geometry) and division otherwise; both paths
+/// map an address to the same (set, tag).
 class Cache {
  public:
   explicit Cache(const CacheConfig& cfg = {});
 
   /// Accesses one address; returns true on hit. Misses allocate (both
   /// loads and stores: write-allocate).
-  bool Access(std::uint64_t addr);
+  bool Access(std::uint64_t addr) {
+    std::uint64_t tag = 0;
+    Way* const base = &ways_[FirstWay(addr, &tag)];
+    ++tick_;
+    Way* victim = base;
+    for (int a = 0; a < cfg_.associativity; ++a) {
+      Way& w = base[a];
+      if (w.tag == tag) {
+        w.lru = tick_;
+        ++hits_;
+        return true;
+      }
+      if (w.lru < victim->lru) victim = &w;
+    }
+    // Miss: fill the least recently used way (an empty way has lru 0, so
+    // it goes first). Which of several empty ways fills is unobservable:
+    // hits depend only on the set's contents and their LRU order.
+    victim->tag = tag;
+    victim->lru = tick_;
+    ++misses_;
+    return false;
+  }
 
   /// True if the address's line is currently resident (no state change).
   bool Probe(std::uint64_t addr) const;
@@ -38,12 +64,38 @@ class Cache {
   const CacheConfig& config() const { return cfg_; }
 
  private:
+  /// Tag of an empty way. No address produces it: the tag drops at least
+  /// one bit of the address (the constructor checks line * sets >= 2).
+  static constexpr std::uint64_t kEmptyTag = ~std::uint64_t{0};
+
   struct Way {
-    std::uint64_t tag = 0;
-    bool valid = false;
-    std::uint64_t lru = 0;  ///< Larger = more recently used.
+    std::uint64_t tag = kEmptyTag;
+    std::uint64_t lru = 0;  ///< Larger = more recently used; 0 = empty.
   };
+
+  /// Index in ways_ of the first way of addr's set; sets *tag.
+  std::size_t FirstWay(std::uint64_t addr, std::uint64_t* tag) const {
+    std::uint64_t set = 0;
+    if (pow2_) {
+      const std::uint64_t line = addr >> line_shift_;
+      set = line & set_mask_;
+      *tag = line >> set_shift_;
+    } else {
+      const std::uint64_t line = addr / line_bytes_;
+      set = line % sets_;
+      *tag = line / sets_;
+    }
+    return static_cast<std::size_t>(set) *
+           static_cast<std::size_t>(cfg_.associativity);
+  }
+
   CacheConfig cfg_;
+  std::uint64_t line_bytes_ = 0;
+  std::uint64_t sets_ = 0;
+  bool pow2_ = false;  ///< line_bytes and NumSets() are powers of two.
+  int line_shift_ = 0;
+  int set_shift_ = 0;
+  std::uint64_t set_mask_ = 0;
   std::vector<Way> ways_;  ///< sets * associativity, set-major.
   std::uint64_t tick_ = 0;
   long hits_ = 0;

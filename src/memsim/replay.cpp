@@ -1,8 +1,9 @@
 #include "memsim/replay.h"
 
 #include <algorithm>
-#include <queue>
 #include <vector>
+
+#include "core/check.h"
 
 namespace hcrf::memsim {
 
@@ -19,9 +20,42 @@ struct MemOp {
   int cycle;          ///< Issue cycle within the (normalized) kernel body.
   bool is_load;
   bool bound_miss;    ///< Scheduled assuming miss latency (prefetched).
-  std::int32_t array;
-  std::int64_t base;
+  std::uint64_t addr0;  ///< Address of iteration 0: array base + offset.
   std::int64_t stride;
+};
+
+/// Completion times of the outstanding misses, ascending: a fixed array
+/// rather than a heap, since there are at most kMaxMshrs of them.
+class Mshrs {
+ public:
+  static constexpr int kMaxMshrs = 32;
+
+  int size() const { return n_; }
+  long earliest() const { return t_[0]; }
+
+  /// Frees every slot whose miss completed by `cycle`.
+  void RetireUpTo(long cycle) {
+    if (n_ == 0 || t_[0] > cycle) return;
+    int k = 1;
+    while (k < n_ && t_[k] <= cycle) ++k;
+    std::copy(t_ + k, t_ + n_, t_);
+    n_ -= k;
+  }
+
+  void PopEarliest() {
+    std::copy(t_ + 1, t_ + n_, t_);
+    --n_;
+  }
+
+  void Insert(long completion) {
+    int k = n_++;
+    for (; k > 0 && t_[k - 1] > completion; --k) t_[k] = t_[k - 1];
+    t_[k] = completion;
+  }
+
+ private:
+  long t_[kMaxMshrs] = {};
+  int n_ = 0;
 };
 
 }  // namespace
@@ -48,8 +82,8 @@ ReplayResult ReplayLoop(const workload::Loop& loop,
     op.is_load = n.op == OpClass::kLoad;
     op.bound_miss =
         op.is_load && sr.overrides.For(v, m.lat.load_hit) >= m.lat.load_miss;
-    op.array = n.mem->array_id;
-    op.base = n.mem->base;
+    op.addr0 = ArrayBase(n.mem->array_id) +
+               static_cast<std::uint64_t>(n.mem->base);
     op.stride = n.mem->stride;
     ops.push_back(op);
   }
@@ -61,33 +95,32 @@ ReplayResult ReplayLoop(const workload::Loop& loop,
   const int miss_lat = m.lat.load_miss;
   const int hit_lat = m.lat.load_hit;
   const int mshrs = cache_cfg.mshrs;
+  HCRF_CHECK(mshrs >= 1 && mshrs <= Mshrs::kMaxMshrs,
+             "%d MSHRs: the replay models 1 to %d", mshrs, Mshrs::kMaxMshrs);
 
   // One invocation against the current cache state; returns stall cycles.
+  const long trip = loop.trip;
   auto run_invocation = [&]() -> long {
     long stall = 0;
-    // Completion times of outstanding misses (absolute cycles).
-    std::priority_queue<long, std::vector<long>, std::greater<>> inflight;
-    for (long i = 0; i < loop.trip; ++i) {
+    long misses = 0;
+    Mshrs inflight;  // completion times, in absolute cycles
+    for (long i = 0; i < trip; ++i) {
       const long iter_base = i * ii + stall;
       for (const MemOp& op : ops) {
         const long issue = iter_base + op.cycle;
-        // Retire completed misses.
-        while (!inflight.empty() && inflight.top() <= issue) inflight.pop();
-        const std::uint64_t addr = ArrayBase(op.array) +
-                                   static_cast<std::uint64_t>(
-                                       op.base + op.stride * i);
-        ++out.accesses;
+        inflight.RetireUpTo(issue);
+        const std::uint64_t addr =
+            op.addr0 + static_cast<std::uint64_t>(op.stride * i);
         const bool hit = cache.Access(addr);
         if (hit) continue;
-        ++out.misses;
+        ++misses;
         // MSHR pressure: stall until a slot frees.
         long extra = 0;
-        if (static_cast<int>(inflight.size()) >= mshrs) {
-          extra = std::max(extra, inflight.top() - issue);
-          inflight.pop();
+        if (inflight.size() >= mshrs) {
+          extra = std::max(extra, inflight.earliest() - issue);
+          inflight.PopEarliest();
         }
-        const long completion = issue + extra + miss_lat;
-        inflight.push(completion);
+        inflight.Insert(issue + extra + miss_lat);
         if (op.is_load && !op.bound_miss) {
           // The core expects the value hit_lat cycles after issue.
           extra += miss_lat - hit_lat;
@@ -95,6 +128,8 @@ ReplayResult ReplayLoop(const workload::Loop& loop,
         stall += extra;
       }
     }
+    out.accesses += trip * static_cast<long>(ops.size());
+    out.misses += misses;
     return stall;
   };
 

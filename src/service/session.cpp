@@ -71,6 +71,11 @@ void SchedulerService::Drain() {
   if (cache_) cache_->Drain();
 }
 
+int SchedulerService::batch_width() const {
+  return config_.threads > 0 ? config_.threads
+                             : perf::TaskPool::Shared().num_workers() + 1;
+}
+
 TierStats SchedulerService::tier_stats() const {
   return cache_ ? cache_->tier_stats() : TierStats{};
 }
@@ -90,9 +95,7 @@ BatchReport SchedulerService::RunBatch(
 
   const auto wall0 = std::chrono::steady_clock::now();
   perf::TaskPool& pool = perf::TaskPool::Shared();
-  const int width =
-      config_.threads > 0 ? config_.threads : pool.num_workers() + 1;
-  perf::ParallelFor(pool, requests.size(), width, [&](size_t i) {
+  perf::ParallelFor(pool, requests.size(), batch_width(), [&](size_t i) {
     static obs::Counter& req_count = obs::GetCounter("service.requests");
     static obs::Counter& hit_count = obs::GetCounter("service.cache_hits");
     static obs::Histogram& req_hist =

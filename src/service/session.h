@@ -65,6 +65,11 @@ class SchedulerService {
 
   const ServiceConfig& config() const { return config_; }
 
+  /// Lanes one RunBatch fans out to: config().threads, or every worker of
+  /// perf::TaskPool::Shared() plus the caller when that is 0. Front ends
+  /// that post-process a batch in parallel use the same width.
+  int batch_width() const;
+
   /// Schedules every request in parallel against the session cache stack.
   /// Never throws for per-request failures; they surface as failed items.
   /// report.cache / report.mem_cache are deltas over this call's window

@@ -1,19 +1,23 @@
 // The experiment registry and runner: every registered experiment expands
 // to a valid grid, the paper-reference table anchors real experiments and
 // its tolerance checks pass and fail correctly, a --smoke run goes through
-// the persistent cache cold-then-warm with bit-identical reports, and
-// binding-prefetch overrides are keyed into the batch service's cache.
+// the persistent cache cold-then-warm with bit-identical reports, the
+// parallel metric pass matches a serial one and replays each distinct job
+// once, and binding-prefetch overrides are keyed into the batch service's
+// cache.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <set>
 #include <string>
+#include <tuple>
 
 #include "experiment/experiment.h"
 #include "experiment/paper_ref.h"
 #include "experiment/run.h"
 #include "memsim/prefetch.h"
 #include "service/batch.h"
+#include "service/session.h"
 #include "workload/kernels.h"
 #include "workload/suite_cache.h"
 
@@ -39,6 +43,16 @@ std::string FreshDir(const std::string& stem) {
           .string();
   fs::remove_all(dir);
   return dir;
+}
+
+/// RunExperiments on a fresh session of `config`, drained before return.
+ReproReport RunOnFreshSession(const std::vector<const Experiment*>& sel,
+                              const ReproOptions& opt,
+                              const service::ServiceConfig& config = {}) {
+  service::SchedulerService session(config);
+  ReproReport report = RunExperiments(sel, opt, session);
+  session.Drain();
+  return report;
 }
 
 TEST(ExperimentRegistry, ThirteenExperimentsWithValidGrids) {
@@ -125,7 +139,7 @@ TEST(ExperimentRegistry, ToleranceChecksPassAndFail) {
 TEST(ExperimentRun, HardwareModelRefsAllPass) {
   ReproOptions opt;
   opt.smoke = true;
-  const ReproReport report = RunExperiments(
+  const ReproReport report = RunOnFreshSession(
       {FindExperiment("table2"), FindExperiment("table5")}, opt);
   ASSERT_EQ(report.experiments.size(), 2u);
   EXPECT_EQ(report.requests, 0);  // nothing scheduled
@@ -152,17 +166,19 @@ TEST(ExperimentRun, SmokeColdThenWarmIsBitIdentical) {
   const std::string cache = FreshDir("hcrf-exp-cache-");
   ReproOptions opt;
   opt.smoke = true;
-  opt.cache_dir = cache;
+  service::ServiceConfig config;
+  config.cache_dir = cache;
   const std::vector<const Experiment*> sel = {
       FindExperiment("table4"), FindExperiment("fig4"),
       FindExperiment("ablation_budget")};
 
-  const ReproReport cold = RunExperiments(sel, opt);
+  // Two sessions: the warm run is served by the disk tier alone.
+  const ReproReport cold = RunOnFreshSession(sel, opt, config);
   EXPECT_GT(cold.requests, 0);
   EXPECT_EQ(cold.hits, 0);
   EXPECT_EQ(cold.scheduled, cold.requests);
 
-  const ReproReport warm = RunExperiments(sel, opt);
+  const ReproReport warm = RunOnFreshSession(sel, opt, config);
   EXPECT_EQ(warm.scheduled, 0);
   EXPECT_EQ(warm.hits, warm.requests);
   EXPECT_EQ(warm.requests, cold.requests);
@@ -184,6 +200,56 @@ TEST(ExperimentRun, SmokeColdThenWarmIsBitIdentical) {
   fs::remove_all(cache);
 }
 
+// The metric pass runs at the session's width and derives each distinct
+// (request, trip, invocations) memory job once: a serial and a 4-lane
+// session give byte-identical reports, and the replay count is the number
+// of distinct jobs, computed here from the cache keys independently of
+// the runner. fig6's selective cells on S64, 4C32 and 4C32S16 share their
+// requests with ablation_prefetch's, so there are fewer jobs than cells.
+TEST(ExperimentRun, ParallelMetricsMatchSerial) {
+  ReproOptions opt;
+  opt.smoke = true;
+  const std::vector<const Experiment*> sel = {FindExperiment("fig6"),
+                                              FindExperiment("ablation_prefetch"),
+                                              FindExperiment("table4")};
+  service::ServiceConfig serial;
+  serial.threads = 1;
+  service::ServiceConfig parallel;
+  parallel.threads = 4;
+  const ReproReport one = RunOnFreshSession(sel, opt, serial);
+  const ReproReport four = RunOnFreshSession(sel, opt, parallel);
+  EXPECT_EQ(ReproCsv(one), ReproCsv(four));
+  EXPECT_EQ(ReproMarkdown(one), ReproMarkdown(four));
+
+  std::set<std::tuple<std::string, long, long>> distinct;
+  int memory_cells = 0;
+  for (const Experiment* def : sel) {
+    const workload::Suite slice = workload::SuiteSlice(
+        *workload::SharedSuiteByName(def->workload.suite),
+        def->workload.smoke_slice);
+    for (const experiment::MachineVariant& mv : def->machines) {
+      for (const experiment::EngineVariant& ev : def->engines) {
+        if (!ev.simulate_memory) continue;
+        for (const workload::Loop& loop : slice.loops()) {
+          sched::LatencyOverrides overrides;
+          if (ev.prefetch != memsim::PrefetchMode::kNone) {
+            overrides = memsim::ClassifyBindingPrefetch(
+                loop.ddg, mv.machine, loop.trip, ev.prefetch);
+          }
+          const std::string key = service::MakeCacheKey(
+              loop.ddg, mv.machine, ev.options, overrides).Hex();
+          distinct.emplace(key, loop.trip, loop.invocations);
+          ++memory_cells;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(memory_cells, 56 + 72);
+  EXPECT_LT(static_cast<int>(distinct.size()), memory_cells);
+  EXPECT_EQ(one.replays, static_cast<int>(distinct.size()));
+  EXPECT_EQ(four.replays, one.replays);
+}
+
 // Table 4's comparison must account for failures per engine, explicitly:
 // the experiment emits a "failures" row (noniter_only / mirs_only / both /
 // compared) and the compared count plus every failure class partitions
@@ -195,7 +261,7 @@ TEST(ExperimentRun, ComparisonReportsPerEngineFailures) {
   ASSERT_NE(table4, nullptr);
   Experiment sliced = *table4;  // value copy; run on a bounded slice
   sliced.workload.slice = 64;
-  const ReproReport report = RunExperiments({&sliced}, opt);
+  const ReproReport report = RunOnFreshSession({&sliced}, opt);
   ASSERT_EQ(report.experiments.size(), 1u);
   const experiment::ExperimentResult& res = report.experiments[0];
 

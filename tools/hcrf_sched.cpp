@@ -774,9 +774,11 @@ void PrintReproSummary(const experiment::ReproReport& report,
   }
   std::printf(
       "repro: %zu experiments, %d cells in %d deduplicated requests, "
-      "%d scheduled, %d cache hits, %d failed cells, %.3f s wall\n",
+      "%d scheduled, %d cache hits, %d failed cells, batch %.3f s, "
+      "metrics %.3f s (%d replays)\n",
       report.experiments.size(), cells, report.requests, report.scheduled,
-      report.hits, failed_cells, report.seconds);
+      report.hits, failed_cells, report.seconds, report.metrics_seconds,
+      report.replays);
   std::printf(
       "timing: probe %.3f s, mii %.3f s, schedule %.3f s, serialize %.3f s "
       "(summed per-request phases)\n",
@@ -857,40 +859,38 @@ int CmdRepro(const Args& args) {
     }
   }
 
+  service::ServiceConfig config;
+  if (const std::string* c = args.Flag("cache")) config.cache_dir = *c;
+  CacheMemFromFlags(args, &config.cache_mem_entries, &config.cache_mem_bytes);
+  if (const std::string* t = args.Flag("threads")) {
+    config.threads = ParseIntFlag("threads", *t);
+  }
   experiment::ReproOptions ropt;
   ropt.smoke = args.Flag("smoke") != nullptr;
-  if (const std::string* c = args.Flag("cache")) ropt.cache_dir = *c;
-  CacheMemFromFlags(args, &ropt.cache_mem_entries, &ropt.cache_mem_bytes);
-  if (const std::string* t = args.Flag("threads")) {
-    ropt.threads = ParseIntFlag("threads", *t);
-  }
 
   std::optional<SmokeCacheDir> smoke_cache;
   if (ropt.smoke) {
     smoke_cache.emplace(args, "repro --smoke", "hcrf-repro-smoke");
     if (!smoke_cache->ok()) return 1;
-    ropt.cache_dir = smoke_cache->dir();
+    config.cache_dir = smoke_cache->dir();
   }
 
-  experiment::ReproReport report;
-  bool ok = true;
+  service::SchedulerService session(config);
+  experiment::ReproReport report =
+      experiment::RunExperiments(selection, ropt, session);
+  // Drained totals of the fresh session: exact write counts, and the
+  // smoke's warm leg probes a complete disk tier.
+  session.Drain();
+  if (session.has_cache()) report.cache = session.tier_stats();
+  PrintReproSummary(report, config.cache_dir);
+  bool ok = report.ref_failures == 0;
   if (ropt.smoke) {
     // As in `sweep --smoke`: one resident session carries both legs, so
     // the warm run probes the cache stack the cold run populated (the
     // memory tier with --cache-mem, the disk tier otherwise).
-    service::ServiceConfig config;
-    config.cache_dir = ropt.cache_dir;
-    config.cache_mem_entries = ropt.cache_mem_entries;
-    config.cache_mem_bytes = ropt.cache_mem_bytes;
-    config.threads = ropt.threads;
-    service::SchedulerService session(config);
-    report = experiment::RunExperiments(selection, ropt, session);
-    session.Drain();  // cold writes land before the warm leg probes disk
-    PrintReproSummary(report, ropt.cache_dir);
-    ok = report.ref_failures == 0;
     const experiment::ReproReport warm =
         experiment::RunExperiments(selection, ropt, session);
-    PrintReproSummary(warm, ropt.cache_dir);
+    PrintReproSummary(warm, config.cache_dir);
     if (warm.scheduled != 0 || warm.hits != warm.requests) {
       std::fprintf(stderr,
                    "repro --smoke: warm run expected all cache hits, got %d "
@@ -904,7 +904,7 @@ int CmdRepro(const Args& args) {
                    "repro --smoke: warm reports differ from cold reports\n");
       ok = false;
     }
-    if (ropt.cache_mem_entries > 0 && session.memory_stats().hits <= 0) {
+    if (config.cache_mem_entries > 0 && session.memory_stats().hits <= 0) {
       std::fprintf(stderr,
                    "repro --smoke: --cache-mem warm run never hit the "
                    "memory tier\n");
@@ -912,10 +912,6 @@ int CmdRepro(const Args& args) {
     }
     if (warm.ref_failures != 0) ok = false;
     std::printf("repro smoke: %s\n", ok ? "PASS" : "FAIL");
-  } else {
-    report = experiment::RunExperiments(selection, ropt);
-    PrintReproSummary(report, ropt.cache_dir);
-    ok = report.ref_failures == 0;
   }
   const std::string csv = experiment::ReproCsv(report);
   const std::string md = experiment::ReproMarkdown(report);
