@@ -209,7 +209,11 @@ ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
             .count();
   }
   for (const MetricJob& job : jobs) {
-    if (job.simulate_memory) ++report.replays;
+    // A failed schedule has nothing to replay (MetricsFromResult returns
+    // before the replay).
+    if (job.simulate_memory && batch.items[job.request].result.ok) {
+      ++report.replays;
+    }
   }
 
   for (const Plan& plan : plans) {

@@ -37,8 +37,8 @@ namespace hcrf::experiment {
 /// session's (service::ServiceConfig).
 struct ReproOptions {
   /// Not read by RunExperiments: the session sets every width
-  /// (SchedulerService::batch_width). Kept because existing callers set it
-  /// to their session's ServiceConfig::threads.
+  /// (SchedulerService::batch_width). Kept only because perfbench sets it
+  /// to its session's ServiceConfig::threads.
   int threads = 0;
   /// Run each experiment on its bounded smoke slice instead of the full
   /// workload. Workload-dependent reference values are reported but not
@@ -86,8 +86,8 @@ struct ReproReport {
   /// The parallel metric-derivation pass after the batch (memory replays
   /// included).
   double metrics_seconds = 0.0;
-  /// Memory-replay jobs derived: distinct (request, trip, invocations)
-  /// among the cells that simulate memory.
+  /// Memory replays run: distinct (request, trip, invocations) among the
+  /// cells that simulate memory and whose schedule succeeded.
   int replays = 0;
   /// Summed per-request phase timings of the scheduling batch (stdout
   /// summary only, like `cache`: reports stay byte-identical cold/warm).

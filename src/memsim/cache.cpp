@@ -11,17 +11,18 @@ Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
                  cfg_.NumSets() > 0,
              "cache geometry %ld B / %d B lines / %d ways has no sets",
              cfg_.size_bytes, cfg_.line_bytes, cfg_.associativity);
-  line_bytes_ = static_cast<std::uint64_t>(cfg_.line_bytes);
-  sets_ = static_cast<std::uint64_t>(cfg_.NumSets());
-  HCRF_CHECK(line_bytes_ * sets_ >= 2,
+  const auto line_bytes = static_cast<std::uint64_t>(cfg_.line_bytes);
+  const auto sets = static_cast<std::uint64_t>(cfg_.NumSets());
+  HCRF_CHECK(std::has_single_bit(line_bytes) && std::has_single_bit(sets),
+             "cache geometry %ld B / %d B lines / %d ways: line size and "
+             "set count must be powers of two",
+             cfg_.size_bytes, cfg_.line_bytes, cfg_.associativity);
+  HCRF_CHECK(line_bytes * sets >= 2,
              "a one-byte, one-set cache leaves no tag for empty ways");
-  pow2_ = std::has_single_bit(line_bytes_) && std::has_single_bit(sets_);
-  if (pow2_) {
-    line_shift_ = std::countr_zero(line_bytes_);
-    set_shift_ = std::countr_zero(sets_);
-    set_mask_ = sets_ - 1;
-  }
-  ways_.assign(static_cast<std::size_t>(sets_) *
+  line_shift_ = std::countr_zero(line_bytes);
+  set_shift_ = std::countr_zero(sets);
+  set_mask_ = sets - 1;
+  ways_.assign(static_cast<std::size_t>(sets) *
                    static_cast<std::size_t>(cfg_.associativity),
                Way{});
 }

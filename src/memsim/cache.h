@@ -22,9 +22,8 @@ struct CacheConfig {
 /// contents (fill on miss). Miss overlap timing is handled by LoopReplay,
 /// which owns the MSHR occupancy model.
 ///
-/// Indexing uses shifts and masks when the line size and the set count are
-/// powers of two (the paper's geometry) and division otherwise; both paths
-/// map an address to the same (set, tag).
+/// The line size and the set count must be powers of two (the paper's
+/// geometry is 32-byte lines and 512 sets), so indexing is shifts and masks.
 class Cache {
  public:
   explicit Cache(const CacheConfig& cfg = {});
@@ -75,24 +74,13 @@ class Cache {
 
   /// Index in ways_ of the first way of addr's set; sets *tag.
   std::size_t FirstWay(std::uint64_t addr, std::uint64_t* tag) const {
-    std::uint64_t set = 0;
-    if (pow2_) {
-      const std::uint64_t line = addr >> line_shift_;
-      set = line & set_mask_;
-      *tag = line >> set_shift_;
-    } else {
-      const std::uint64_t line = addr / line_bytes_;
-      set = line % sets_;
-      *tag = line / sets_;
-    }
-    return static_cast<std::size_t>(set) *
+    const std::uint64_t line = addr >> line_shift_;
+    *tag = line >> set_shift_;
+    return static_cast<std::size_t>(line & set_mask_) *
            static_cast<std::size_t>(cfg_.associativity);
   }
 
   CacheConfig cfg_;
-  std::uint64_t line_bytes_ = 0;
-  std::uint64_t sets_ = 0;
-  bool pow2_ = false;  ///< line_bytes and NumSets() are powers of two.
   int line_shift_ = 0;
   int set_shift_ = 0;
   std::uint64_t set_mask_ = 0;

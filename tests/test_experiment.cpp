@@ -246,6 +246,13 @@ TEST(ExperimentRun, ParallelMetricsMatchSerial) {
   }
   EXPECT_EQ(memory_cells, 56 + 72);
   EXPECT_LT(static_cast<int>(distinct.size()), memory_cells);
+  // Only a successful schedule is replayed; on these slices every memory
+  // cell schedules, so every distinct tuple is one replay.
+  for (const experiment::ExperimentResult& res : one.experiments) {
+    if (res.name != "table4") {
+      EXPECT_EQ(res.cells_failed, 0) << res.name;
+    }
+  }
   EXPECT_EQ(one.replays, static_cast<int>(distinct.size()));
   EXPECT_EQ(four.replays, one.replays);
 }

@@ -249,21 +249,18 @@ ReplayResult NaiveReplay(const workload::Loop& loop,
 // exact: on a seeded sample of the synthetic suite, scheduled with
 // selective binding prefetching on Figure 6's seven organizations, it
 // reports the reference's stall cycles, accesses and misses under the
-// paper's power-of-two cache. On the first organization it is also exact
-// under a 48-byte-line cache, which takes the division path.
+// paper's cache.
 TEST(Replay, MatchesNaiveReference) {
   const workload::Suite& synth = workload::SharedSyntheticSuite();
   std::mt19937 rng(20030422u);
   std::set<size_t> sample;
   while (sample.size() < 150) sample.insert(rng() % synth.size());
 
-  CacheConfig odd;
-  odd.line_bytes = 48;  // 341 sets: neither is a power of two
   const experiment::Experiment* fig6 = experiment::FindExperiment("fig6");
   ASSERT_NE(fig6, nullptr);
+  const CacheConfig cfg;
   int compared = 0;
   long stalls = 0;
-  std::vector<CacheConfig> configs = {CacheConfig{}, odd};
   for (const experiment::MachineVariant& mv : fig6->machines) {
     for (const size_t index : sample) {
       const workload::Loop& loop = synth[index];
@@ -272,23 +269,30 @@ TEST(Replay, MatchesNaiveReference) {
           ClassifyBindingPrefetch(loop.ddg, mv.machine, loop.trip,
                                   PrefetchMode::kSelective));
       if (!sr.ok) continue;
-      for (const CacheConfig& cfg : configs) {
-        SCOPED_TRACE(mv.label + " loop " + std::to_string(index) + " " +
-                     std::to_string(cfg.line_bytes) + "B lines");
-        const ReplayResult want = NaiveReplay(loop, sr, mv.machine, cfg);
-        const ReplayResult got = ReplayLoop(loop, sr, mv.machine, cfg);
-        ASSERT_EQ(got.stall_cycles, want.stall_cycles);
-        ASSERT_EQ(got.accesses, want.accesses);
-        ASSERT_EQ(got.misses, want.misses);
-        ASSERT_EQ(got.useful_cycles, want.useful_cycles);
-        stalls += want.stall_cycles;
-        ++compared;
-      }
+      SCOPED_TRACE(mv.label + " loop " + std::to_string(index));
+      const ReplayResult want = NaiveReplay(loop, sr, mv.machine, cfg);
+      const ReplayResult got = ReplayLoop(loop, sr, mv.machine, cfg);
+      ASSERT_EQ(got.stall_cycles, want.stall_cycles);
+      ASSERT_EQ(got.accesses, want.accesses);
+      ASSERT_EQ(got.misses, want.misses);
+      ASSERT_EQ(got.useful_cycles, want.useful_cycles);
+      stalls += want.stall_cycles;
+      ++compared;
     }
-    configs.resize(1);  // the division path on the first organization only
   }
-  EXPECT_GT(compared, 8 * 140);
+  EXPECT_GT(compared, 7 * 140);
   EXPECT_GT(stalls, 0);
+}
+
+// Indexing is shifts and masks only: a geometry whose line size or set
+// count is not a power of two is refused rather than mis-indexed.
+TEST(CacheDeathTest, RefusesNonPowerOfTwoGeometry) {
+  CacheConfig odd_line;
+  odd_line.line_bytes = 48;  // 341 sets
+  EXPECT_DEATH(Cache{odd_line}, "powers of two");
+  CacheConfig odd_sets;
+  odd_sets.size_bytes = 3 * 32 * 2;  // 3 sets of 32-byte lines
+  EXPECT_DEATH(Cache{odd_sets}, "powers of two");
 }
 
 // ---------------------------------------------------------------------------
