@@ -179,7 +179,6 @@ ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
 
   ReproReport report;
   report.smoke = opt.smoke;
-  report.cache = batch.cache;
   report.requests = static_cast<int>(requests.size());
   report.scheduled = batch.scheduled;
   report.hits = batch.hits;

@@ -25,7 +25,6 @@
 #include "experiment/experiment.h"
 #include "experiment/paper_ref.h"
 #include "service/batch.h"
-#include "service/sched_cache.h"
 
 namespace hcrf::service {
 class SchedulerService;
@@ -76,8 +75,7 @@ struct ExperimentResult {
 struct ReproReport {
   bool smoke = false;
   std::vector<ExperimentResult> experiments;
-  /// Batch/cache run metadata (stdout summary only; never in reports).
-  service::TierStats cache;
+  /// Batch run metadata (stdout summary only; never in reports).
   int requests = 0;   ///< Deduplicated scheduling requests dispatched.
   int scheduled = 0;  ///< Fresh MirsHC runs.
   int hits = 0;       ///< Requests served from the persistent cache.
@@ -90,7 +88,7 @@ struct ReproReport {
   /// cells that simulate memory and whose schedule succeeded.
   int replays = 0;
   /// Summed per-request phase timings of the scheduling batch (stdout
-  /// summary only, like `cache`: reports stay byte-identical cold/warm).
+  /// summary only: reports stay byte-identical cold/warm).
   service::RequestTiming timing;
 
   int RefChecks() const;
@@ -99,9 +97,9 @@ struct ReproReport {
 
 /// Runs the selected experiments (every registry entry when `selection`
 /// is empty) through `session`. Throws on an unknown suite name; per-cell
-/// scheduling failures are data and surface in the results. report.cache
-/// is the per-call delta; disk writes may still be in flight at return
-/// (session.Drain() for exact totals).
+/// scheduling failures are data and surface in the results. Cache
+/// counters are the session's; disk writes may still be in flight at
+/// return (session.Drain() for exact totals).
 ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
                            const ReproOptions& opt,
                            service::SchedulerService& session);

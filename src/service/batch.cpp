@@ -3,9 +3,9 @@
 #include <filesystem>
 #include <memory>
 
+#include "hwmodel/characterize.h"
 #include "io/hcl.h"
 #include "io/scanner.h"
-#include "service/session.h"
 
 namespace hcrf::service {
 
@@ -89,8 +89,7 @@ std::vector<ManifestEntry> LoadManifestFile(const std::string& path) {
 }
 
 BatchRequest ResolveManifestEntry(const ManifestEntry& e,
-                                  const std::string& base_dir,
-                                  hw::RFModelMode rf_model) {
+                                  const std::string& base_dir) {
   const fs::path base(base_dir);
   BatchRequest req;
   req.loop = std::make_shared<workload::Loop>(
@@ -102,7 +101,8 @@ BatchRequest ResolveManifestEntry(const ManifestEntry& e,
     req.machine = MachineConfig::WithRF(RFConfig::Parse(e.rf));
     if (e.characterize && !req.machine.rf.UnboundedClusterRegs() &&
         !req.machine.rf.UnboundedSharedRegs()) {
-      req.machine = hw::ApplyCharacterization(req.machine, rf_model);
+      req.machine =
+          hw::ApplyCharacterization(req.machine, hw::RFModelMode::kPaperTable);
     }
   }
   if (e.budget_ratio) req.options.budget_ratio = *e.budget_ratio;
@@ -110,34 +110,6 @@ BatchRequest ResolveManifestEntry(const ManifestEntry& e,
   if (e.iterative) req.options.iterative = *e.iterative;
   if (e.policy) req.options.cluster_policy = *e.policy;
   return req;
-}
-
-// The free functions are the transient-session form: one SchedulerService
-// per call, drained before reporting so the counters are exact even with
-// write-behind (a fresh session's lifetime totals ARE the batch totals).
-
-BatchReport RunBatch(const std::vector<BatchRequest>& requests,
-                     const BatchOptions& opt) {
-  SchedulerService session(ServiceConfig::FromBatch(opt));
-  BatchReport report = session.RunBatch(requests);
-  session.Drain();
-  if (session.has_cache()) {
-    report.cache = session.tier_stats();
-    report.mem_cache = session.memory_stats();
-  }
-  return report;
-}
-
-BatchReport RunManifest(const std::string& manifest_path,
-                        const BatchOptions& opt) {
-  SchedulerService session(ServiceConfig::FromBatch(opt));
-  BatchReport report = session.RunManifest(manifest_path);
-  session.Drain();
-  if (session.has_cache()) {
-    report.cache = session.tier_stats();
-    report.mem_cache = session.memory_stats();
-  }
-  return report;
 }
 
 }  // namespace hcrf::service

@@ -2,9 +2,9 @@
 //
 // A manifest (`hcl 1 manifest`) lists scheduling requests — a dependence
 // graph file plus the machine configuration and options to schedule it
-// under. The batch scheduler loads the requests, fans them out over the
-// shared perf::TaskPool, and backs them with the persistent
-// DiskTier cache so repeated sweeps over a corpus skip scheduling entirely.
+// under. A SchedulerService (service/session.h) loads the requests, fans
+// them out over the shared perf::TaskPool, and backs them with its cache
+// stack so repeated sweeps over a corpus skip scheduling entirely.
 //
 // Manifest grammar (one request per line, `#` comments allowed):
 //     hcl 1 manifest
@@ -25,10 +25,8 @@
 #include <vector>
 
 #include "core/mirs.h"
-#include "hwmodel/characterize.h"
 #include "machine/machine_config.h"
 #include "sched/lifetime.h"
-#include "service/sched_cache.h"
 #include "workload/workload.h"
 
 namespace hcrf::service {
@@ -78,22 +76,6 @@ struct BatchRequest {
   bool allow_warm_start = false;
 };
 
-struct BatchOptions {
-  /// Persistent cache directory; empty disables caching.
-  std::string cache_dir;
-  /// In-memory hot-tier bound in entries; 0 disables the memory tier
-  /// (`--cache-mem=N`). When both tiers are on they stack as a
-  /// TieredCache with write-behind to disk.
-  long cache_mem_entries = 0;
-  /// Memory-tier byte bound; 0 = the MemoryTier default (64 MiB).
-  long cache_mem_bytes = 0;
-  /// Lanes per batch on the shared TaskPool (0 = hardware concurrency,
-  /// 1 = strictly serial on the caller).
-  int threads = 0;
-  /// Hardware model used when a manifest entry asks for characterization.
-  hw::RFModelMode rf_model = hw::RFModelMode::kPaperTable;
-};
-
 /// Wall-clock decomposition of one request's trip through the service.
 /// Phases that did not run stay zero (mii/schedule/serialize on a cache
 /// hit; cache_probe/serialize when caching is disabled).
@@ -129,14 +111,6 @@ struct BatchItem {
 
 struct BatchReport {
   std::vector<BatchItem> items;  ///< In request order.
-  /// Whole-stack cache counters for this batch (hits from any tier;
-  /// misses/rejects/writes at the durable boundary; entries/bytes are the
-  /// memory tier's residency at batch end). Zeroes when caching is
-  /// disabled.
-  TierStats cache;
-  /// Memory-tier counters for this batch; zeroes without `--cache-mem`.
-  /// entries/bytes are the residency at batch end, not a delta.
-  TierStats mem_cache;
   int scheduled = 0;             ///< Fresh MirsHC runs.
   int hits = 0;                  ///< Requests served from the cache.
   int warm_starts = 0;           ///< Fresh runs seeded via near-key lookup.
@@ -147,22 +121,10 @@ struct BatchReport {
 
 /// Resolves one manifest entry into a dispatchable request: loads the
 /// graph (and machine document, if named) relative to `base_dir`, applies
-/// the RF organization + hardware characterization otherwise, and folds
-/// the per-entry option overrides in. Throws on unloadable files.
+/// the RF organization + the paper's hardware characterization otherwise,
+/// and folds the per-entry option overrides in. Throws on unloadable
+/// files.
 BatchRequest ResolveManifestEntry(const ManifestEntry& entry,
-                                  const std::string& base_dir,
-                                  hw::RFModelMode rf_model);
-
-/// Schedules every request (in parallel, cache-backed) on a transient
-/// single-batch session (see service/session.h for the resident form).
-/// Never throws for per-request failures; they surface as failed items.
-BatchReport RunBatch(const std::vector<BatchRequest>& requests,
-                     const BatchOptions& opt);
-
-/// Loads `manifest_path`, resolves its requests and runs them. Entries
-/// whose graph/machine files fail to load become failed items (the rest
-/// of the batch still runs); a malformed manifest itself throws.
-BatchReport RunManifest(const std::string& manifest_path,
-                        const BatchOptions& opt);
+                                  const std::string& base_dir);
 
 }  // namespace hcrf::service

@@ -1,5 +1,10 @@
 #include "service/sched_cache.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 
@@ -9,10 +14,9 @@
 
 namespace hcrf::service {
 
-// The per-instance atomic counters stay (a cache object's stats() must
-// describe that instance — RunBatch reports them per batch); the shared
-// metrics registry additionally accumulates the process-wide view under
-// `sched_cache.*`.
+// The per-instance atomic counters describe that instance (a session's
+// tier_stats()); the shared metrics registry additionally accumulates the
+// process-wide view under `sched_cache.*`.
 
 namespace {
 
@@ -27,6 +31,35 @@ std::string ToHex(std::uint64_t v) {
   return std::string(buf, 16);
 }
 
+enum class EntryFile { kRead, kAbsent, kRejected };
+
+/// Opens the entry at `path` once and reads it whole into `text`. A file
+/// that cannot be opened (usually: absent) is kAbsent; a non-regular file
+/// or one over kMaxEntryBytes is kRejected without reading it. A short
+/// read leaves a truncated `text`, which the checksum then rejects.
+EntryFile ReadEntry(const std::string& path, std::string* text) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return EntryFile::kAbsent;
+  EntryFile outcome = EntryFile::kRead;
+  struct stat st {};
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode) ||
+      st.st_size > DiskTier::kMaxEntryBytes) {
+    outcome = EntryFile::kRejected;
+  } else {
+    text->resize(static_cast<size_t>(st.st_size));
+    size_t got = 0;
+    while (got < text->size()) {
+      const ssize_t n = ::read(fd, text->data() + got, text->size() - got);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) break;
+      got += static_cast<size_t>(n);
+    }
+    text->resize(got);
+  }
+  ::close(fd);
+  return outcome;
+}
+
 }  // namespace
 
 DiskTier::DiskTier(std::string dir) : dir_(std::move(dir)) {}
@@ -38,9 +71,8 @@ std::string DiskTier::EntryPath(const CacheKey& key) const {
 std::optional<core::ScheduleResult> DiskTier::Get(const CacheKey& key) {
   const std::string path = EntryPath(key);
   std::string text;
-  try {
-    text = io::ReadFile(path);
-  } catch (const std::runtime_error&) {
+  const EntryFile file = ReadEntry(path, &text);
+  if (file == EntryFile::kAbsent) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     obs::GetCounter("sched_cache.misses").Add(1);
     return std::nullopt;
@@ -50,6 +82,7 @@ std::optional<core::ScheduleResult> DiskTier::Get(const CacheKey& key) {
     obs::GetCounter("sched_cache.rejects").Add(1);
     return std::nullopt;
   };
+  if (file == EntryFile::kRejected) return reject();
 
   // Header line: `hclc 1 <hex>`.
   const size_t header_end = text.find('\n');
@@ -101,22 +134,12 @@ void DiskTier::PutBody(const CacheKey& key, const std::string& body) {
   }
 }
 
-DiskTier::Stats DiskTier::stats() const {
-  Stats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.rejects = rejects_.load(std::memory_order_relaxed);
-  s.writes = writes_.load(std::memory_order_relaxed);
-  return s;
-}
-
 TierStats DiskTier::tier_stats() const {
-  const Stats s = stats();
   TierStats t;
-  t.hits = s.hits;
-  t.misses = s.misses;
-  t.rejects = s.rejects;
-  t.writes = s.writes;
+  t.hits = hits_.load(std::memory_order_relaxed);
+  t.misses = misses_.load(std::memory_order_relaxed);
+  t.rejects = rejects_.load(std::memory_order_relaxed);
+  t.writes = writes_.load(std::memory_order_relaxed);
   return t;
 }
 

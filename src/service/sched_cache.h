@@ -13,9 +13,11 @@
 //     hclc 1 <32-hex-digit key>
 //     <canonical `hcl 1 result` document>
 //     checksum <16-hex-digit fnv1a over the document>
-// A key mismatch (stale entry, e.g. a truncated-hash collision or a file
-// renamed by hand) or checksum/parse failure is counted as a reject and
-// falls through to a fresh schedule; corrupt entries never surface.
+// An absent entry is a plain miss. A key mismatch (stale entry, e.g. a
+// truncated-hash collision or a file renamed by hand), a checksum/parse
+// failure, or a file over kMaxEntryBytes (never read) is counted as a
+// reject and falls through to a fresh schedule; corrupt entries never
+// surface.
 //
 // Thread safety: Get/Put may be called concurrently (the batch scheduler
 // runs requests on the shared thread pool). Counters are atomics; writes
@@ -34,6 +36,11 @@ namespace hcrf::service {
 
 class DiskTier : public CacheTier {
  public:
+  /// Entry files over this size are rejected without being read: the
+  /// cache directory is outside input, and no valid entry comes near it
+  /// (a result the daemon could send fits one 64 MiB wire frame).
+  static constexpr long kMaxEntryBytes = 64L * 1024 * 1024;
+
   /// `dir` is created lazily on first Put.
   explicit DiskTier(std::string dir);
 
@@ -51,13 +58,8 @@ class DiskTier : public CacheTier {
   /// tier's size accounting.
   void PutBody(const CacheKey& key, const std::string& body);
 
-  struct Stats {
-    long hits = 0;
-    long misses = 0;
-    long rejects = 0;  ///< Stale key, bad checksum or unparsable entry.
-    long writes = 0;
-  };
-  Stats stats() const;
+  /// hits, misses, writes and rejects (stale key, bad checksum,
+  /// unparsable, oversize or non-regular entry) of this instance.
   TierStats tier_stats() const override;
 
   /// Offline directory census for `hcrf_sched cache-stats`.

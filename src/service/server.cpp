@@ -18,6 +18,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "perf/thread_pool.h"
+#include "service/sched_cache.h"
 #include "service/wire.h"
 
 namespace hcrf::service {
@@ -37,8 +38,8 @@ std::string CacheStatsDoc(SchedulerService& session) {
   const TierStats stack = session.tier_stats();
   const TierStats mem = session.memory_stats();
   DiskTier::DirStats census;
-  if (session.disk_tier() != nullptr) {
-    census = DiskTier::Scan(session.disk_tier()->dir());
+  if (!session.config().cache_dir.empty()) {
+    census = DiskTier::Scan(session.config().cache_dir);
   }
   std::string doc = "hcl 1 cache-stats\n";
   const auto field = [&doc](const char* name, long v) {
@@ -63,6 +64,26 @@ std::string CacheStatsDoc(SchedulerService& session) {
   doc += "end\n";
   return doc;
 }
+
+/// An admitted connection's in-flight slot; the destructor covers every
+/// path that writes no reply.
+class Slot {
+ public:
+  explicit Slot(std::atomic<int>& inflight) : inflight_(&inflight) {}
+  ~Slot() { Release(); }
+  Slot(const Slot&) = delete;
+  Slot& operator=(const Slot&) = delete;
+
+  void Release() {
+    if (inflight_ != nullptr) {
+      inflight_->fetch_sub(1, std::memory_order_relaxed);
+    }
+    inflight_ = nullptr;
+  }
+
+ private:
+  std::atomic<int>* inflight_;
+};
 
 }  // namespace
 
@@ -176,9 +197,10 @@ void Server::Serve() {
     }
 
     // Admission control at accept time, on this thread: the in-flight
-    // count is exact (handlers decrement only after their slot's work is
-    // done), so saturation answers `busy` deterministically instead of
-    // queueing the connection behind a full pool.
+    // count is exact (handlers decrement once their slot's work is done,
+    // before the reply's last write), so saturation answers `busy`
+    // deterministically instead of queueing the connection behind a full
+    // pool.
     int inflight = inflight_.load(std::memory_order_relaxed);
     bool admitted = false;
     while (inflight < opt_.max_inflight) {
@@ -195,10 +217,7 @@ void Server::Serve() {
       conn.WriteAll("hcrf 1 busy\n");
       continue;
     }
-    conns.Submit([this, fd] {
-      HandleConnection(fd);
-      inflight_.fetch_sub(1, std::memory_order_relaxed);
-    });
+    conns.Submit([this, fd] { HandleConnection(fd); });
   }
 
   // Graceful drain: stop accepting (unlink first, so new connect()s fail
@@ -216,12 +235,14 @@ void Server::Serve() {
 }
 
 void Server::HandleConnection(int fd) {
+  Slot slot(inflight_);
   wire::Conn conn(fd);
   obs::TraceSpan span("server", "connection");
   static obs::Counter& conn_count = obs::GetCounter("server.connections");
   conn_count.Add(1);
 
-  const auto send_error = [&conn](const std::string& message) {
+  const auto send_error = [&slot, &conn](const std::string& message) {
+    slot.Release();
     conn.WriteAll("hcrf 1 error " + std::to_string(message.size()) + "\n" +
                   message);
   };
@@ -237,13 +258,16 @@ void Server::HandleConnection(int fd) {
     const std::string& verb = toks[2];
 
     if (verb == "ping" && toks.size() == 3) {
+      slot.Release();
       conn.WriteAll("hcrf 1 ok\n");
     } else if (verb == "stats" && toks.size() == 3) {
       const std::string json = obs::Registry::Shared().Json();
+      slot.Release();
       conn.WriteAll("hcrf 1 stats " + std::to_string(json.size()) + "\n" +
                     json);
     } else if (verb == "cache-stats" && toks.size() == 3) {
       const std::string doc = CacheStatsDoc(session_);
+      slot.Release();
       conn.WriteAll("hcrf 1 cache-stats " + std::to_string(doc.size()) +
                     "\n" + doc);
     } else if ((verb == "submit" || verb == "delta") && toks.size() == 4) {
@@ -273,6 +297,7 @@ void Server::HandleConnection(int fd) {
       for (size_t i = 0; i < report.items.size(); ++i) {
         wire::WriteItem(conn, i, report.items[i]);
       }
+      slot.Release();
       conn.WriteAll("end\n");
     } else {
       send_error("unknown verb: " + verb);

@@ -40,7 +40,9 @@
 // queueing, so clients get an explicit signal rather than unbounded
 // latency. Unix sockets accept in FIFO order, which makes the busy path
 // deterministic to test: fill the slots with stalled submissions, and
-// the next connection must bounce.
+// the next connection must bounce. A connection gives its slot back just
+// before the last write of its reply, so a client holding one request at
+// a time is never bounced by its own finished connection.
 //
 // Concurrency model: accepted connections run as TaskGroup tasks on a
 // TaskPool the server owns, sized to `max_inflight` — NOT the
@@ -114,6 +116,10 @@ class Server {
   long bounced() const { return bounced_.load(std::memory_order_relaxed); }
 
  private:
+  /// Serves one admitted connection. Its in-flight slot is released just
+  /// before the reply's last write: a closed-loop client reconnects as
+  /// soon as it has read its reply, and must never be bounced `busy` by
+  /// its own finished connection.
   void HandleConnection(int fd);
 
   ServerOptions opt_;

@@ -8,38 +8,11 @@
 #include "obs/trace.h"
 #include "perf/runner.h"
 #include "perf/thread_pool.h"
+#include "service/sched_cache.h"
 
 namespace hcrf::service {
 
-namespace {
-
 namespace fs = std::filesystem;
-
-TierStats FlowDelta(const TierStats& after, const TierStats& before) {
-  TierStats d = after;
-  d.hits -= before.hits;
-  d.misses -= before.misses;
-  d.rejects -= before.rejects;
-  d.writes -= before.writes;
-  d.evictions -= before.evictions;
-  d.oversize -= before.oversize;
-  d.near_hits -= before.near_hits;
-  d.near_misses -= before.near_misses;
-  // entries/bytes are residency, not flow: keep the `after` footprint.
-  return d;
-}
-
-}  // namespace
-
-ServiceConfig ServiceConfig::FromBatch(const BatchOptions& opt) {
-  ServiceConfig c;
-  c.cache_dir = opt.cache_dir;
-  c.cache_mem_entries = opt.cache_mem_entries;
-  c.cache_mem_bytes = opt.cache_mem_bytes;
-  c.threads = opt.threads;
-  c.rf_model = opt.rf_model;
-  return c;
-}
 
 SchedulerService::SchedulerService(const ServiceConfig& config)
     : config_(config) {
@@ -52,16 +25,13 @@ SchedulerService::SchedulerService(const ServiceConfig& config)
     auto mem = std::make_unique<MemoryTier>(mc);
     memory_ = mem.get();
     if (want_disk) {
-      auto disk = std::make_unique<DiskTier>(config_.cache_dir);
-      disk_ = disk.get();
-      cache_ = std::make_unique<TieredCache>(std::move(mem), std::move(disk));
+      cache_ = std::make_unique<TieredCache>(
+          std::move(mem), std::make_unique<DiskTier>(config_.cache_dir));
     } else {
       cache_ = std::move(mem);
     }
   } else if (want_disk) {
-    auto disk = std::make_unique<DiskTier>(config_.cache_dir);
-    disk_ = disk.get();
-    cache_ = std::move(disk);
+    cache_ = std::make_unique<DiskTier>(config_.cache_dir);
   }
 }
 
@@ -90,8 +60,6 @@ BatchReport SchedulerService::RunBatch(
   report.items.resize(requests.size());
 
   CacheTier* cache = cache_.get();
-  const TierStats stack_before = tier_stats();
-  const TierStats mem_before = memory_stats();
 
   const auto wall0 = std::chrono::steady_clock::now();
   perf::TaskPool& pool = perf::TaskPool::Shared();
@@ -199,13 +167,6 @@ BatchReport SchedulerService::RunBatch(
     if (!item.ok) ++report.failed;
     report.timing.Accumulate(item.timing);
   }
-  if (cache != nullptr) {
-    // Per-batch deltas of the session-lifetime counters. With write-behind
-    // on, disk `writes` queued by this batch may still be in flight; the
-    // one-shot wrappers Drain() and re-snapshot for exact totals.
-    report.cache = FlowDelta(tier_stats(), stack_before);
-    report.mem_cache = FlowDelta(memory_stats(), mem_before);
-  }
   return report;
 }
 
@@ -225,7 +186,7 @@ BatchReport SchedulerService::RunManifest(const std::string& manifest_path) {
     BatchItem& item = report.items[i];
     item.id = e.graph;
     try {
-      BatchRequest req = ResolveManifestEntry(e, base, config_.rf_model);
+      BatchRequest req = ResolveManifestEntry(e, base);
       item.id = req.id;
       requests.push_back(std::move(req));
       request_slot.push_back(i);
@@ -240,8 +201,6 @@ BatchReport SchedulerService::RunManifest(const std::string& manifest_path) {
   for (size_t r = 0; r < run.items.size(); ++r) {
     report.items[request_slot[r]] = std::move(run.items[r]);
   }
-  report.cache = run.cache;
-  report.mem_cache = run.mem_cache;
   report.scheduled = run.scheduled;
   report.hits = run.hits;
   report.warm_starts = run.warm_starts;
@@ -249,6 +208,14 @@ BatchReport SchedulerService::RunManifest(const std::string& manifest_path) {
   report.seconds = run.seconds;
   report.timing = run.timing;
   return report;
+}
+
+// The transient-session form: the destructor drains the write-behind
+// queue before the report is handed back.
+BatchReport RunBatch(const std::vector<BatchRequest>& requests,
+                     const ServiceConfig& config) {
+  SchedulerService session(config);
+  return session.RunBatch(requests);
 }
 
 }  // namespace hcrf::service

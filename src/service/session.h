@@ -13,13 +13,13 @@
 // Ownership model:
 //  * The session owns the cache stack (MemoryTier / DiskTier /
 //    TieredCache, per ServiceConfig) for its whole lifetime; batch calls
-//    borrow it. Per-batch stats are deltas of the stack counters around
-//    the call.
+//    borrow it. Its counters are session totals: a front end drains the
+//    session and reads tier_stats()/memory_stats() once per leg.
 //  * Batch lanes run on the process-wide perf::TaskPool::Shared(); the
 //    session only carries the parallelism cap applied per batch. The
 //    write-behind lane is the TieredCache's own one-worker pool.
 //  * Drain() settles the write-behind queue; the destructor drains too.
-//    A one-shot wrapper drains before reporting (exact counters), the
+//    A one-shot front end drains before reporting (exact counters), the
 //    daemon drains on SIGTERM.
 //
 // Thread safety: RunBatch may be called from multiple threads (the server
@@ -35,25 +35,25 @@
 
 #include "service/batch.h"
 #include "service/cache_tier.h"
-#include "service/sched_cache.h"
 
 namespace hcrf::service {
 
-/// Durable configuration of a scheduling session — what used to arrive
-/// as per-call BatchOptions, fixed at session construction.
+/// The one configuration of a scheduling session, fixed at construction.
 struct ServiceConfig {
   /// Persistent cache directory; empty disables the disk tier.
   std::string cache_dir;
-  /// Memory-tier entry bound; 0 disables the memory tier.
+  /// Memory-tier entry bound; 0 disables the memory tier. When both
+  /// tiers are on they stack as a TieredCache with write-behind to disk.
   long cache_mem_entries = 0;
   /// Memory-tier byte bound; 0 = the MemoryTier default (64 MiB).
   long cache_mem_bytes = 0;
-  /// Parallelism cap per batch (0 = hardware concurrency).
+  /// Lanes per batch on the shared TaskPool (0 = hardware concurrency,
+  /// 1 = strictly serial on the caller).
   int threads = 0;
-  hw::RFModelMode rf_model = hw::RFModelMode::kPaperTable;
-
-  static ServiceConfig FromBatch(const BatchOptions& opt);
 };
+
+/// The old name of ServiceConfig, kept for callers that still spell it.
+using BatchOptions = ServiceConfig;
 
 class SchedulerService {
  public:
@@ -72,10 +72,9 @@ class SchedulerService {
 
   /// Schedules every request in parallel against the session cache stack.
   /// Never throws for per-request failures; they surface as failed items.
-  /// report.cache / report.mem_cache are deltas over this call's window
-  /// (they include any batch running concurrently on this session); disk
-  /// `writes` may still be in flight at return (Drain() for exact totals —
-  /// the one-shot wrappers do).
+  /// Cache counters are the session's (tier_stats()/memory_stats()):
+  /// disk `writes` may still be in flight at return, so Drain() first for
+  /// exact totals.
   BatchReport RunBatch(const std::vector<BatchRequest>& requests);
 
   /// Loads `manifest_path`, resolves its requests and runs them through
@@ -86,12 +85,8 @@ class SchedulerService {
   /// Settles the write-behind queue (no-op for single-tier caches).
   void Drain();
 
-  bool has_cache() const { return cache_ != nullptr; }
   /// The stack (or single tier); nullptr when caching is disabled.
   CacheTier* cache() { return cache_.get(); }
-  /// Borrowed tier views; nullptr when that tier is not configured.
-  MemoryTier* memory_tier() { return memory_; }
-  DiskTier* disk_tier() { return disk_; }
 
   /// Whole-stack counters since session construction (hits from any
   /// tier; misses/rejects/writes at the durable boundary).
@@ -104,7 +99,11 @@ class SchedulerService {
   ServiceConfig config_;
   std::unique_ptr<CacheTier> cache_;  ///< Null = caching disabled.
   MemoryTier* memory_ = nullptr;      ///< View into cache_ (or null).
-  DiskTier* disk_ = nullptr;          ///< View into cache_ (or null).
 };
+
+/// The transient-session form: schedules `requests` on a fresh session of
+/// `config`, drained before it returns.
+BatchReport RunBatch(const std::vector<BatchRequest>& requests,
+                     const ServiceConfig& config);
 
 }  // namespace hcrf::service

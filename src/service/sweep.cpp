@@ -259,7 +259,7 @@ SweepPlan ExpandSweepMachines(const SweepSpec& spec,
 SweepReport RunSweep(const SweepSpec& spec, const std::string& base_dir,
                      SchedulerService& session) {
   const SweepPlan plan =
-      ExpandSweepMachines(spec, session.config().rf_model);
+      ExpandSweepMachines(spec, hw::RFModelMode::kPaperTable);
   if (plan.machines.empty()) {
     std::string msg = "sweep expands to no valid organizations";
     for (const std::string& s : plan.skipped) msg += "\n  skipped " + s;
@@ -323,7 +323,6 @@ SweepReport RunSweep(const SweepSpec& spec, const std::string& base_dir,
   for (const SweepMachine& sm : plan.machines) report.orgs.push_back(sm.org);
   report.loops = labels;
   report.skipped = plan.skipped;
-  report.cache = batch.cache;
   report.scheduled = batch.scheduled;
   report.hits = batch.hits;
   report.failed = batch.failed;

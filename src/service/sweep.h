@@ -113,7 +113,6 @@ struct SweepReport {
   std::vector<std::string> loops;   ///< Workload order.
   std::vector<std::string> skipped; ///< Invalid grid combinations.
   std::vector<SweepCell> cells;     ///< Organization-major, loop-minor.
-  TierStats cache;                  ///< Zeroes when caching is disabled.
   int scheduled = 0;
   int hits = 0;
   int failed = 0;
@@ -127,8 +126,7 @@ class SchedulerService;
 /// through the batch scheduler. Throws on an unloadable workload or an
 /// empty expansion; per-cell scheduling failures surface as failed cells.
 /// Schedules through `session` (its cache stack and parallelism config);
-/// report.cache is the per-call delta — Drain() the session and read its
-/// tier_stats() for exact disk-write totals.
+/// cache counters are the session's — Drain() it and read tier_stats().
 SweepReport RunSweep(const SweepSpec& spec, const std::string& base_dir,
                      SchedulerService& session);
 

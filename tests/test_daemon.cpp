@@ -21,7 +21,9 @@
 #include "obs/metrics.h"
 #include "service/batch.h"
 #include "service/client.h"
+#include "service/sched_cache.h"
 #include "service/server.h"
+#include "service/session.h"
 #include "workload/kernels.h"
 
 namespace hcrf {
@@ -90,8 +92,8 @@ TEST_F(DaemonTest, SubmitMatchesDirectRunBatchByteForByte) {
   StartServer(opt);
 
   const std::vector<service::BatchRequest> requests = KernelRequests();
-  const service::BatchReport direct =
-      service::RunBatch(requests, service::BatchOptions{});
+  service::SchedulerService local(service::ServiceConfig{});
+  const service::BatchReport direct = local.RunBatch(requests);
 
   service::Client client(SocketPath());
   ASSERT_TRUE(client.Ping());
@@ -163,6 +165,23 @@ TEST_F(DaemonTest, ConcurrentClientsAllServedIdentically) {
                 io::DumpResult(replies[c].items[i].result));
     }
   }
+}
+
+// A client that has read its whole reply holds no slot any more: with one
+// slot, back-to-back requests from one closed-loop client are never
+// bounced, even when the finished handler is descheduled before it
+// returns (which a loaded host does).
+TEST_F(DaemonTest, SequentialClientNeverSeesBusy) {
+  service::ServerOptions opt;
+  opt.max_inflight = 1;
+  StartServer(opt);
+  service::Client client(SocketPath());
+  int busy = 0;
+  for (int i = 0; i < 2000; ++i) {
+    if (!client.Ping()) ++busy;
+  }
+  EXPECT_EQ(busy, 0);
+  EXPECT_EQ(server_->bounced(), 0);
 }
 
 TEST_F(DaemonTest, SaturationAnswersBusy) {

@@ -319,11 +319,11 @@ TEST(ExperimentRun, PrefetchOverridesAreKeyedIntoTheCache) {
                service::MakeCacheKey(loop->ddg, m, prefetch.options,
                                      prefetch.overrides));
 
-  service::BatchOptions bopt;
-  bopt.cache_dir = cache;
-  bopt.threads = 1;
-  const service::BatchReport cold =
-      service::RunBatch({plain, prefetch}, bopt);
+  service::ServiceConfig config;
+  config.cache_dir = cache;
+  config.threads = 1;
+  service::SchedulerService session(config);
+  const service::BatchReport cold = session.RunBatch({plain, prefetch});
   ASSERT_TRUE(cold.items[0].ok);
   ASSERT_TRUE(cold.items[1].ok);
   EXPECT_EQ(cold.scheduled, 2);
@@ -332,8 +332,8 @@ TEST(ExperimentRun, PrefetchOverridesAreKeyedIntoTheCache) {
   EXPECT_NE(cold.items[0].result.overrides.producer_latency,
             cold.items[1].result.overrides.producer_latency);
 
-  const service::BatchReport warm =
-      service::RunBatch({plain, prefetch}, bopt);
+  session.Drain();
+  const service::BatchReport warm = session.RunBatch({plain, prefetch});
   EXPECT_EQ(warm.hits, 2);
   EXPECT_EQ(warm.scheduled, 0);
   EXPECT_EQ(warm.items[0].result.ii, cold.items[0].result.ii);

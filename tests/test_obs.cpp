@@ -29,6 +29,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/batch.h"
+#include "service/session.h"
 #include "workload/suite_cache.h"
 
 namespace hcrf {
@@ -437,16 +438,22 @@ TEST(Service, RequestTimingDecomposesColdAndWarmPaths) {
     reqs.push_back(std::move(req));
   }
 
-  service::BatchOptions opt;
+  service::ServiceConfig config;
   std::error_code ec;
-  opt.cache_dir = (fs::temp_directory_path() /
-                   ("hcrf-test-obs-" + std::to_string(::getpid())))
-                      .string();
-  fs::remove_all(opt.cache_dir, ec);
+  config.cache_dir = (fs::temp_directory_path() /
+                      ("hcrf-test-obs-" + std::to_string(::getpid())))
+                         .string();
+  fs::remove_all(config.cache_dir, ec);
 
-  const service::BatchReport cold = service::RunBatch(reqs, opt);
-  const service::BatchReport warm = service::RunBatch(reqs, opt);
-  fs::remove_all(opt.cache_dir, ec);
+  service::BatchReport cold;
+  service::BatchReport warm;
+  {
+    service::SchedulerService session(config);
+    cold = session.RunBatch(reqs);
+    session.Drain();
+    warm = session.RunBatch(reqs);
+  }
+  fs::remove_all(config.cache_dir, ec);
 
   ASSERT_EQ(cold.items.size(), reqs.size());
   double queue_sum = 0, probe_sum = 0, mii_sum = 0, sched_sum = 0,

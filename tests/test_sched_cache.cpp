@@ -53,7 +53,7 @@ TEST_F(SchedCacheTest, HitReturnsBitIdenticalResult) {
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(io::DumpResult(fresh), io::DumpResult(*hit));
 
-  const DiskTier::Stats s = cache.stats();
+  const service::TierStats s = cache.tier_stats();
   EXPECT_EQ(s.hits, 1);
   EXPECT_EQ(s.misses, 1);
   EXPECT_EQ(s.rejects, 0);
@@ -77,6 +77,39 @@ TEST_F(SchedCacheTest, EntriesPersistAcrossCacheInstances) {
   EXPECT_EQ(io::DumpResult(fresh), io::DumpResult(*hit));
 }
 
+// An absent entry is a plain miss: counted once, nothing rejected.
+TEST_F(SchedCacheTest, MissingKeyCountsOneMiss) {
+  const workload::Loop loop = workload::MakeDaxpy();
+  const MachineConfig m = MachineConfig::Baseline();
+  const core::MirsOptions opt;
+  DiskTier cache(dir_.string());
+  EXPECT_FALSE(cache.Get(MakeCacheKey(loop.ddg, m, opt)).has_value());
+  const service::TierStats s = cache.tier_stats();
+  EXPECT_EQ(s.misses, 1);
+  EXPECT_EQ(s.rejects, 0);
+  EXPECT_EQ(s.hits, 0);
+}
+
+// The cache directory is outside input: an entry file over the size cap
+// is a counted reject and is never read (the sparse file here would read
+// as 64 MiB of zeros).
+TEST_F(SchedCacheTest, OversizeEntryIsRejectedUnread) {
+  const workload::Loop loop = workload::MakeDaxpy();
+  const MachineConfig m = MachineConfig::Baseline();
+  const core::MirsOptions opt;
+  const CacheKey key = MakeCacheKey(loop.ddg, m, opt);
+  fs::create_directories(dir_);
+  std::ofstream(EntryPathOf(key), std::ios::binary)
+      << "hclc 1 " << key.Hex() << "\n";
+  fs::resize_file(EntryPathOf(key), DiskTier::kMaxEntryBytes + 1);
+
+  DiskTier cache(dir_.string());
+  EXPECT_FALSE(cache.Get(key).has_value());
+  const service::TierStats s = cache.tier_stats();
+  EXPECT_EQ(s.rejects, 1);
+  EXPECT_EQ(s.misses, 0);
+}
+
 TEST_F(SchedCacheTest, CorruptedEntryIsRejectedAndFallsThrough) {
   const workload::Loop loop = workload::MakeDot();
   const MachineConfig m = MachineConfig::Baseline();
@@ -97,7 +130,7 @@ TEST_F(SchedCacheTest, CorruptedEntryIsRejectedAndFallsThrough) {
   std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
 
   EXPECT_FALSE(cache.Get(key).has_value());
-  EXPECT_EQ(cache.stats().rejects, 1);
+  EXPECT_EQ(cache.tier_stats().rejects, 1);
 
   // Fall through: re-scheduling and re-putting heals the entry.
   cache.Put(key, fresh);
@@ -123,7 +156,7 @@ TEST_F(SchedCacheTest, TruncatedEntryIsRejected) {
       << text.substr(0, text.size() / 2);
 
   EXPECT_FALSE(cache.Get(key).has_value());
-  EXPECT_EQ(cache.stats().rejects, 1);
+  EXPECT_EQ(cache.tier_stats().rejects, 1);
 }
 
 TEST_F(SchedCacheTest, StaleEntryUnderTheWrongKeyIsRejected) {
@@ -145,7 +178,7 @@ TEST_F(SchedCacheTest, StaleEntryUnderTheWrongKeyIsRejected) {
   ASSERT_FALSE(other == key);
   fs::copy_file(EntryPathOf(key), EntryPathOf(other));
   EXPECT_FALSE(cache.Get(other).has_value());
-  EXPECT_EQ(cache.stats().rejects, 1);
+  EXPECT_EQ(cache.tier_stats().rejects, 1);
 }
 
 TEST_F(SchedCacheTest, KeySeparatesScheduleRelevantContent) {

@@ -6,11 +6,14 @@
 
 #include <filesystem>
 #include <memory>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "io/hcl.h"
 #include "service/batch.h"
+#include "service/sched_cache.h"
 #include "service/session.h"
 #include "workload/kernels.h"
 #include "workload/perfect_synth.h"
@@ -103,9 +106,9 @@ TEST(BatchService, SchedulesRequestsWithoutACache) {
 // pool schedules exactly what a serial batch does.
 TEST(BatchService, ParallelMatchesSerial) {
   const std::vector<service::BatchRequest> requests = SynthRequests(60);
-  service::BatchOptions serial;
+  service::ServiceConfig serial;
   serial.threads = 1;
-  service::BatchOptions parallel;
+  service::ServiceConfig parallel;
   parallel.threads = 8;
   const service::BatchReport a = service::RunBatch(requests, serial);
   const service::BatchReport b = service::RunBatch(requests, parallel);
@@ -126,7 +129,7 @@ TEST(BatchService, ParallelMatchesSerial) {
 TEST(BatchService, ConcurrentBatchesOnOneSessionMatchSerial) {
   constexpr int kCallers = 4;
   const std::vector<service::BatchRequest> requests = SynthRequests(24);
-  service::BatchOptions serial_opt;
+  service::ServiceConfig serial_opt;
   serial_opt.threads = 1;
   const service::BatchReport serial = service::RunBatch(requests, serial_opt);
 
@@ -184,8 +187,9 @@ TEST(BatchService, MissingGraphFileFailsItsItemOnly) {
                       "request graph ok.hcl\n"
                       "request graph missing.hcl\n"
                       "end\n");
+  service::SchedulerService session(service::ServiceConfig{});
   const service::BatchReport report =
-      service::RunManifest((dir / "m.manifest").string(), {});
+      session.RunManifest((dir / "m.manifest").string());
   ASSERT_EQ(report.items.size(), 2u);
   EXPECT_TRUE(report.items[0].ok);
   EXPECT_FALSE(report.items[1].ok);
@@ -201,13 +205,15 @@ TEST(BatchService, CorpusManifestColdThenWarmIsBitIdentical) {
   const std::string manifest = CorpusPath("kernels.manifest");
   ASSERT_TRUE(fs::exists(manifest)) << manifest;
 
-  service::BatchOptions opt;
   const fs::path cache_dir =
       fs::path(::testing::TempDir()) / "hcrf-corpus-cache";
   fs::remove_all(cache_dir);
-  opt.cache_dir = cache_dir.string();
+  service::ServiceConfig config;
+  config.cache_dir = cache_dir.string();
+  service::SchedulerService session(config);
 
-  const service::BatchReport cold = service::RunManifest(manifest, opt);
+  const service::BatchReport cold = session.RunManifest(manifest);
+  session.Drain();
   ASSERT_GT(cold.items.size(), 0u);
   EXPECT_EQ(cold.failed, 0);
   EXPECT_GT(cold.scheduled, 0);
@@ -215,12 +221,26 @@ TEST(BatchService, CorpusManifestColdThenWarmIsBitIdentical) {
     EXPECT_TRUE(item.ok) << item.id << ": " << item.error;
   }
 
-  const service::BatchReport warm = service::RunManifest(manifest, opt);
+  const service::BatchReport warm = session.RunManifest(manifest);
+  session.Drain();
   EXPECT_EQ(warm.failed, 0);
   EXPECT_EQ(warm.scheduled, 0);
   EXPECT_GT(warm.hits, 0);
   EXPECT_EQ(warm.hits, static_cast<int>(warm.items.size()));
-  EXPECT_EQ(warm.cache.hits, static_cast<long>(warm.items.size()));
+
+  // The drained session totals: every warm request hit, and the cold run
+  // wrote each distinct key once.
+  std::set<std::string> keys;
+  const std::string base = fs::path(manifest).parent_path().string();
+  for (const service::ManifestEntry& e : service::LoadManifestFile(manifest)) {
+    const service::BatchRequest r = service::ResolveManifestEntry(e, base);
+    keys.insert(
+        service::MakeCacheKey(r.loop->ddg, r.machine, r.options, r.overrides)
+            .Hex());
+  }
+  const service::TierStats totals = session.tier_stats();
+  EXPECT_EQ(totals.hits, static_cast<long>(warm.items.size()));
+  EXPECT_EQ(totals.writes, static_cast<long>(keys.size()));
 
   ASSERT_EQ(cold.items.size(), warm.items.size());
   for (size_t i = 0; i < cold.items.size(); ++i) {

@@ -225,30 +225,38 @@ bool CheckFlags(const Args& a, std::initializer_list<const char*> known) {
   return true;
 }
 
-/// `--cache-mem=N` / `--cache-mem-bytes=B`: the memory-tier bounds every
-/// scheduling command shares. N = 0 keeps the hot tier off; the byte
-/// bound refines an enabled tier, so it requires `--cache-mem`.
-void CacheMemFromFlags(const Args& args, long* entries, long* bytes) {
+/// The session configuration every scheduling command reads from the same
+/// flags: `--cache=DIR`, `--cache-mem=N`, `--cache-mem-bytes=B` and
+/// `--threads=N` (each command's CheckFlags list says which it accepts).
+/// N = 0 keeps the memory tier off; the byte bound refines an enabled
+/// tier, so it requires `--cache-mem`.
+service::ServiceConfig ConfigFromFlags(const Args& args) {
+  service::ServiceConfig config;
+  if (const std::string* c = args.Flag("cache")) config.cache_dir = *c;
   if (const std::string* v = args.Flag("cache-mem")) {
-    *entries = ParseLongFlag("cache-mem", *v);
-    if (*entries < 0) {
+    config.cache_mem_entries = ParseLongFlag("cache-mem", *v);
+    if (config.cache_mem_entries < 0) {
       throw std::runtime_error(
           "--cache-mem: expected a non-negative entry count, got '" + *v +
           "'");
     }
   }
   if (const std::string* v = args.Flag("cache-mem-bytes")) {
-    *bytes = ParseLongFlag("cache-mem-bytes", *v);
-    if (*bytes < 0) {
+    config.cache_mem_bytes = ParseLongFlag("cache-mem-bytes", *v);
+    if (config.cache_mem_bytes < 0) {
       throw std::runtime_error(
           "--cache-mem-bytes: expected a non-negative byte count, got '" +
           *v + "'");
     }
-    if (*entries <= 0) {
+    if (config.cache_mem_entries <= 0) {
       throw std::runtime_error(
           "--cache-mem-bytes requires --cache-mem=N to enable the tier");
     }
   }
+  if (const std::string* t = args.Flag("threads")) {
+    config.threads = ParseIntFlag("threads", *t);
+  }
+  return config;
 }
 
 /// `--stats[=json]`: dump the whole metrics registry after the command.
@@ -347,46 +355,140 @@ void WriteResultFile(const std::string& out_dir, std::string id,
                       io::DumpResult(result));
 }
 
-/// The smoke checks' cold-cache contract. A user-supplied `--cache` is
-/// never deleted, so it must be empty (else ok() is false and the refusal
-/// is printed under `cmd`'s name); without one, a fresh per-process temp
-/// directory that the guard removes again.
-class SmokeCacheDir {
- public:
-  SmokeCacheDir(const Args& args, const char* cmd, const char* temp_prefix) {
+/// Named deterministic outputs: (file name or request id, bytes).
+using Outputs = std::vector<std::pair<std::string, std::string>>;
+
+/// What one leg of a session run reports: its own request counts, its
+/// verdict, and the outputs a smoke compares between its cold and warm
+/// legs.
+struct Leg {
+  int requests = 0;
+  int scheduled = 0;
+  int hits = 0;
+  bool ok = true;
+  Outputs outputs;
+};
+
+/// Writes each (file name, bytes) report into `out_dir` (default .), then
+/// echoes the last one, the markdown, unless `quiet`.
+void WriteReports(const std::string* out_dir, const Outputs& reports,
+                  bool quiet) {
+  const fs::path dir = out_dir != nullptr ? *out_dir : ".";
+  std::error_code ec;
+  fs::create_directories(dir, ec);
+  std::string written = "reports:";
+  for (const auto& [file, text] : reports) {
+    const std::string path = (dir / file).string();
+    io::WriteFileAtomic(path, text);
+    written += " " + path;
+  }
+  std::printf("%s\n", written.c_str());
+  if (!quiet && !reports.empty()) {
+    const std::string& md = reports.back().second;
+    std::fwrite(md.data(), 1, md.size(), stdout);
+  }
+}
+
+/// Drains `session` and prints its cache totals, exact once the
+/// write-behind queue has settled.
+void PrintSessionTotals(service::SchedulerService& session) {
+  session.Drain();
+  const service::ServiceConfig& config = session.config();
+  if (!config.cache_dir.empty()) {
+    const service::TierStats t = session.tier_stats();
+    std::printf("cache: %ld hits, %ld misses, %ld rejects, %ld writes (%s)\n",
+                t.hits, t.misses, t.rejects, t.writes,
+                config.cache_dir.c_str());
+  }
+  if (config.cache_mem_entries > 0) {
+    const service::TierStats m = session.memory_stats();
+    std::printf(
+        "mem-cache: %ld hits, %ld near hits, %ld near misses, %ld writes, "
+        "%ld evictions, %ld oversize; %ld entries, %ld bytes resident\n",
+        m.hits, m.near_hits, m.near_misses, m.writes, m.evictions,
+        m.oversize, m.entries, m.bytes);
+  }
+}
+
+/// Runs `leg` on one session of `config` and prints the drained session
+/// totals. With `smoke` (the check's name) set, this is instead the
+/// cold/warm self-check of `smoke`, `sweep --smoke` and `repro --smoke`:
+/// the leg runs cold against a fresh cache, then warm on the same
+/// session, which must serve every request from the cache with
+/// byte-identical outputs (and hit the memory tier when there is one).
+/// A user-supplied `--cache` is never deleted, so it must be empty;
+/// without one, a per-process temp directory is used and removed again.
+/// Returns whether every leg and check passed.
+template <typename LegFn>
+bool RunLegs(service::ServiceConfig config, const char* smoke, LegFn&& leg) {
+  struct RemoveOnExit {
+    std::string dir;
+    RemoveOnExit() = default;
+    RemoveOnExit(const RemoveOnExit&) = delete;
+    RemoveOnExit& operator=(const RemoveOnExit&) = delete;
+    ~RemoveOnExit() {
+      std::error_code ec;
+      if (!dir.empty()) fs::remove_all(dir, ec);
+    }
+  } temp;
+  if (smoke != nullptr) {
     std::error_code ec;
-    if (const std::string* c = args.Flag("cache")) {
-      dir_ = *c;
-      ok_ = !fs::exists(dir_, ec) || fs::is_empty(dir_, ec);
-      if (!ok_) {
-        std::fprintf(stderr,
-                     "%s: --cache=%s exists and is not empty; the cold run "
-                     "needs a fresh cache and will not delete user data\n",
-                     cmd, dir_.c_str());
-      }
-    } else {
-      dir_ = (fs::temp_directory_path() /
-              (std::string(temp_prefix) + "-" + std::to_string(::getpid())))
-                 .string();
-      fs::remove_all(dir_, ec);
-      owned_ = true;
+    if (config.cache_dir.empty()) {
+      temp.dir = (fs::temp_directory_path() /
+                  ("hcrf-smoke-" + std::to_string(::getpid())))
+                     .string();
+      fs::remove_all(temp.dir, ec);
+      config.cache_dir = temp.dir;
+    } else if (fs::exists(config.cache_dir, ec) &&
+               !fs::is_empty(config.cache_dir, ec)) {
+      throw std::runtime_error(
+          std::string(smoke) + ": --cache=" + config.cache_dir +
+          " exists and is not empty; the cold run needs a fresh cache and "
+          "will not delete user data");
     }
   }
-  ~SmokeCacheDir() {
-    std::error_code ec;
-    if (owned_) fs::remove_all(dir_, ec);
+  service::SchedulerService session(config);
+  if (smoke == nullptr) {
+    const Leg once = leg(session);
+    PrintSessionTotals(session);
+    return once.ok;
   }
-  SmokeCacheDir(const SmokeCacheDir&) = delete;
-  SmokeCacheDir& operator=(const SmokeCacheDir&) = delete;
+  std::printf("== cold run ==\n");
+  const Leg cold = leg(session);
+  PrintSessionTotals(session);
+  std::printf("== warm run ==\n");
+  const Leg warm = leg(session);
+  PrintSessionTotals(session);
 
-  const std::string& dir() const { return dir_; }
-  bool ok() const { return ok_; }
-
- private:
-  std::string dir_;
-  bool owned_ = false;
-  bool ok_ = true;
-};
+  bool ok = true;
+  const auto fail = [&](const std::string& why) {
+    std::fprintf(stderr, "%s: %s\n", smoke, why.c_str());
+    ok = false;
+  };
+  if (!cold.ok) fail("cold run had failures");
+  if (!warm.ok) fail("warm run had failures");
+  if (warm.scheduled != 0 || warm.hits != warm.requests) {
+    fail("warm run expected all cache hits, got " +
+         std::to_string(warm.hits) + " hits / " +
+         std::to_string(warm.scheduled) + " scheduled of " +
+         std::to_string(warm.requests) + " requests");
+  }
+  if (cold.outputs.size() != warm.outputs.size()) {
+    fail("cold and warm runs produced different output counts");
+  } else {
+    for (size_t i = 0; i < cold.outputs.size(); ++i) {
+      if (cold.outputs[i] != warm.outputs[i]) {
+        fail(cold.outputs[i].first + " differs between the cold and warm runs");
+      }
+    }
+  }
+  if (config.cache_mem_entries > 0 && session.memory_stats().hits <= 0) {
+    fail("--cache-mem warm run never hit the memory tier");
+  }
+  std::printf("%s: %s (%d requests, warm run served %d from cache)\n", smoke,
+              ok ? "PASS" : "FAIL", warm.requests, warm.hits);
+  return ok;
+}
 
 void PrintItem(const service::BatchItem& item) {
   if (!item.ok) {
@@ -420,10 +522,8 @@ int CmdSchedule(const Args& args) {
   req.machine = m;
   req.options = opt;
 
-  service::BatchOptions bopt;
-  if (const std::string* c = args.Flag("cache")) bopt.cache_dir = *c;
-  CacheMemFromFlags(args, &bopt.cache_mem_entries, &bopt.cache_mem_bytes);
-  const service::BatchReport report = service::RunBatch({req}, bopt);
+  const service::BatchReport report =
+      service::RunBatch({req}, ConfigFromFlags(args));
   const service::BatchItem& item = report.items[0];
   PrintItem(item);
   if (!item.ok) return 1;
@@ -437,15 +537,21 @@ int CmdSchedule(const Args& args) {
   return 0;
 }
 
-int RunManifestOnce(const std::string& manifest,
-                    const service::BatchOptions& bopt, bool quiet,
-                    const std::string* out_dir,
-                    service::BatchReport* out_report) {
-  const service::BatchReport report = service::RunManifest(manifest, bopt);
+/// One run of `manifest` on `session`: per-item lines unless `quiet`,
+/// result files into `out_dir` when given, then the batch line. With
+/// `keep_outputs`, the leg carries every result document for a smoke.
+Leg ManifestLeg(service::SchedulerService& session,
+                const std::string& manifest, bool quiet,
+                const std::string* out_dir, bool keep_outputs) {
+  const service::BatchReport report = session.RunManifest(manifest);
+  Leg leg;
   for (const service::BatchItem& item : report.items) {
     if (!quiet) PrintItem(item);
     if (out_dir != nullptr && item.ok) {
       WriteResultFile(*out_dir, item.id, item.result);
+    }
+    if (keep_outputs) {
+      leg.outputs.emplace_back(item.id, io::DumpResult(item.result));
     }
   }
   std::printf(
@@ -453,22 +559,11 @@ int RunManifestOnce(const std::string& manifest,
       "%.3f s wall\n",
       report.items.size(), report.scheduled, report.hits, report.failed,
       report.seconds);
-  if (!bopt.cache_dir.empty()) {
-    std::printf("cache: %ld hits, %ld misses, %ld rejects, %ld writes (%s)\n",
-                report.cache.hits, report.cache.misses, report.cache.rejects,
-                report.cache.writes, bopt.cache_dir.c_str());
-  }
-  if (bopt.cache_mem_entries > 0) {
-    std::printf(
-        "mem-cache: %ld hits, %ld near hits, %ld near misses, %ld writes, "
-        "%ld evictions, %ld oversize; %ld entries, %ld bytes resident\n",
-        report.mem_cache.hits, report.mem_cache.near_hits,
-        report.mem_cache.near_misses, report.mem_cache.writes,
-        report.mem_cache.evictions, report.mem_cache.oversize,
-        report.mem_cache.entries, report.mem_cache.bytes);
-  }
-  if (out_report != nullptr) *out_report = report;
-  return report.failed == 0 ? 0 : 1;
+  leg.requests = static_cast<int>(report.items.size());
+  leg.scheduled = report.scheduled;
+  leg.hits = report.hits;
+  leg.ok = report.failed == 0;
+  return leg;
 }
 
 int CmdRun(const Args& args) {
@@ -477,19 +572,16 @@ int CmdRun(const Args& args) {
                          "out-dir", "quiet", "trace", "stats"})) {
     return Usage();
   }
-  service::BatchOptions bopt;
-  if (const std::string* c = args.Flag("cache")) bopt.cache_dir = *c;
-  CacheMemFromFlags(args, &bopt.cache_mem_entries, &bopt.cache_mem_bytes);
-  if (const std::string* t = args.Flag("threads")) {
-    bopt.threads = ParseIntFlag("threads", *t);
-  }
-  return RunManifestOnce(args.positional[0], bopt,
-                         args.Flag("quiet") != nullptr, args.Flag("out-dir"),
-                         nullptr);
+  const bool ok = RunLegs(
+      ConfigFromFlags(args), nullptr, [&](service::SchedulerService& session) {
+        return ManifestLeg(session, args.positional[0],
+                           args.Flag("quiet") != nullptr, args.Flag("out-dir"),
+                           /*keep_outputs=*/false);
+      });
+  return ok ? 0 : 1;
 }
 
-void PrintSweepSummary(const service::SweepReport& report,
-                       const std::string& cache_dir) {
+void PrintSweepSummary(const service::SweepReport& report) {
   std::printf(
       "sweep %s: %zu organizations x %zu loops, %d scheduled, %d cache "
       "hits, %d failed, %.3f s wall\n",
@@ -497,11 +589,6 @@ void PrintSweepSummary(const service::SweepReport& report,
       report.scheduled, report.hits, report.failed, report.seconds);
   for (const std::string& s : report.skipped) {
     std::printf("  skipped %s\n", s.c_str());
-  }
-  if (!cache_dir.empty()) {
-    std::printf("cache: %ld hits, %ld misses, %ld rejects, %ld writes (%s)\n",
-                report.cache.hits, report.cache.misses, report.cache.rejects,
-                report.cache.writes, cache_dir.c_str());
   }
   const perf::MiiCacheStats mii = perf::GetMiiCacheStats();
   std::printf("mii-cache: %ld hits, %ld misses, %ld entries, %ld evictions\n",
@@ -518,77 +605,28 @@ int CmdSweep(const Args& args) {
   const service::SweepSpec spec = service::LoadSweepSpecFile(spec_path);
   const std::string base_dir = fs::path(spec_path).parent_path().string();
 
-  service::ServiceConfig config;
-  if (const std::string* c = args.Flag("cache")) config.cache_dir = *c;
-  CacheMemFromFlags(args, &config.cache_mem_entries, &config.cache_mem_bytes);
-  if (const std::string* t = args.Flag("threads")) {
-    config.threads = ParseIntFlag("threads", *t);
-  }
-
-  const bool smoke = args.Flag("smoke") != nullptr;
-  std::optional<SmokeCacheDir> smoke_cache;
-  if (smoke) {
-    smoke_cache.emplace(args, "sweep --smoke", "hcrf-sweep-smoke");
-    if (!smoke_cache->ok()) return 1;
-    config.cache_dir = smoke_cache->dir();
-  }
-
   // Unschedulable (org, loop) cells are sweep *data* — the paper's grid
   // includes organizations where loops legitimately fail — so they do not
-  // fail the command; only smoke-check violations below do.
-  service::SchedulerService session(config);
-  service::SweepReport report = service::RunSweep(spec, base_dir, session);
-  // Drained totals of the fresh session: exact write counts, and the
-  // smoke's warm leg probes a complete disk tier.
-  session.Drain();
-  if (session.has_cache()) report.cache = session.tier_stats();
-  PrintSweepSummary(report, config.cache_dir);
-  bool ok = true;
-  if (smoke) {
-    // Cold and warm legs share ONE resident session: the warm run probes
-    // the same cache stack the cold run populated, so with --cache-mem it
-    // is served from the memory tier.
-    const service::SweepReport warm =
-        service::RunSweep(spec, base_dir, session);
-    PrintSweepSummary(warm, config.cache_dir);
-    if (warm.scheduled != 0 ||
-        warm.hits != static_cast<int>(warm.cells.size())) {
-      std::fprintf(stderr,
-                   "sweep --smoke: warm run expected all cache hits, got %d "
-                   "hits / %d scheduled\n",
-                   warm.hits, warm.scheduled);
-      ok = false;
-    }
-    if (service::SweepCsv(warm) != service::SweepCsv(report) ||
-        service::SweepMarkdown(warm) != service::SweepMarkdown(report)) {
-      std::fprintf(stderr,
-                   "sweep --smoke: warm reports differ from cold reports\n");
-      ok = false;
-    }
-    if (config.cache_mem_entries > 0 && session.memory_stats().hits <= 0) {
-      std::fprintf(stderr,
-                   "sweep --smoke: --cache-mem warm run never hit the "
-                   "memory tier\n");
-      ok = false;
-    }
-    std::printf("sweep smoke: %s\n", ok ? "PASS" : "FAIL");
-  }
-  const std::string csv = service::SweepCsv(report);
-  const std::string md = service::SweepMarkdown(report);
-
-  const std::string* out_dir = args.Flag("out-dir");
-  const std::string dir = out_dir != nullptr ? *out_dir : ".";
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  const std::string csv_path =
-      (fs::path(dir) / (report.name + ".csv")).string();
-  const std::string md_path = (fs::path(dir) / (report.name + ".md")).string();
-  io::WriteFileAtomic(csv_path, csv);
-  io::WriteFileAtomic(md_path, md);
-  std::printf("reports: %s %s\n", csv_path.c_str(), md_path.c_str());
-  if (args.Flag("quiet") == nullptr) {
-    std::fwrite(md.data(), 1, md.size(), stdout);
-  }
+  // fail the command; only smoke-check violations do. The reports written
+  // are the first (with --smoke: the cold) run's.
+  Outputs reports;
+  const bool ok = RunLegs(
+      ConfigFromFlags(args),
+      args.Flag("smoke") != nullptr ? "sweep smoke" : nullptr,
+      [&](service::SchedulerService& session) {
+        const service::SweepReport report =
+            service::RunSweep(spec, base_dir, session);
+        PrintSweepSummary(report);
+        Leg leg;
+        leg.requests = static_cast<int>(report.cells.size());
+        leg.scheduled = report.scheduled;
+        leg.hits = report.hits;
+        leg.outputs = {{report.name + ".csv", service::SweepCsv(report)},
+                       {report.name + ".md", service::SweepMarkdown(report)}};
+        if (reports.empty()) reports = leg.outputs;
+        return leg;
+      });
+  WriteReports(args.Flag("out-dir"), reports, args.Flag("quiet") != nullptr);
   return ok ? 0 : 1;
 }
 
@@ -718,55 +756,18 @@ int CmdSmoke(const Args& args) {
   if (args.positional.size() != 1 || !CheckFlags(args, {"cache"})) {
     return Usage();
   }
-  const SmokeCacheDir cache(args, "smoke", "hcrf-smoke-cache");
-  if (!cache.ok()) return 1;
-  service::BatchOptions bopt;
-  bopt.cache_dir = cache.dir();
-
-  std::printf("== cold run ==\n");
-  service::BatchReport cold;
-  if (RunManifestOnce(args.positional[0], bopt, /*quiet=*/true, nullptr,
-                      &cold) != 0) {
-    std::fprintf(stderr, "smoke: cold run had failures\n");
-    return 1;
-  }
-  std::printf("== warm run ==\n");
-  service::BatchReport warm;
-  if (RunManifestOnce(args.positional[0], bopt, /*quiet=*/true, nullptr,
-                      &warm) != 0) {
-    std::fprintf(stderr, "smoke: warm run had failures\n");
-    return 1;
-  }
-
-  bool ok = true;
-  if (warm.hits <= 0 || warm.scheduled != 0) {
-    std::fprintf(stderr,
-                 "smoke: warm run expected all cache hits, got %d hits / %d "
-                 "scheduled\n",
-                 warm.hits, warm.scheduled);
-    ok = false;
-  }
-  if (cold.items.size() != warm.items.size()) {
-    std::fprintf(stderr, "smoke: item count mismatch\n");
-    ok = false;
-  } else {
-    for (size_t i = 0; i < cold.items.size(); ++i) {
-      if (io::DumpResult(cold.items[i].result) !=
-          io::DumpResult(warm.items[i].result)) {
-        std::fprintf(stderr, "smoke: result %s differs between runs\n",
-                     cold.items[i].id.c_str());
-        ok = false;
-      }
-    }
-  }
-  std::printf("smoke: %s (%d loops, warm run served %d from cache)\n",
-              ok ? "PASS" : "FAIL", static_cast<int>(warm.items.size()),
-              warm.hits);
+  const bool ok = RunLegs(
+      ConfigFromFlags(args), "smoke", [&](service::SchedulerService& session) {
+        Leg leg = ManifestLeg(session, args.positional[0], /*quiet=*/true,
+                              nullptr, /*keep_outputs=*/true);
+        // An empty manifest proves nothing about the cache.
+        if (leg.requests == 0) leg.ok = false;
+        return leg;
+      });
   return ok ? 0 : 1;
 }
 
-void PrintReproSummary(const experiment::ReproReport& report,
-                       const std::string& cache_dir) {
+void PrintReproSummary(const experiment::ReproReport& report) {
   int cells = 0, failed_cells = 0;
   for (const experiment::ExperimentResult& e : report.experiments) {
     cells += e.cells;
@@ -784,11 +785,6 @@ void PrintReproSummary(const experiment::ReproReport& report,
       "(summed per-request phases)\n",
       report.timing.cache_probe_seconds, report.timing.mii_seconds,
       report.timing.schedule_seconds, report.timing.serialize_seconds);
-  if (!cache_dir.empty()) {
-    std::printf("cache: %ld hits, %ld misses, %ld rejects, %ld writes (%s)\n",
-                report.cache.hits, report.cache.misses, report.cache.rejects,
-                report.cache.writes, cache_dir.c_str());
-  }
   int na = 0;
   for (const experiment::ExperimentResult& e : report.experiments) {
     for (const experiment::RefCheck& c : e.refs) {
@@ -859,75 +855,27 @@ int CmdRepro(const Args& args) {
     }
   }
 
-  service::ServiceConfig config;
-  if (const std::string* c = args.Flag("cache")) config.cache_dir = *c;
-  CacheMemFromFlags(args, &config.cache_mem_entries, &config.cache_mem_bytes);
-  if (const std::string* t = args.Flag("threads")) {
-    config.threads = ParseIntFlag("threads", *t);
-  }
   experiment::ReproOptions ropt;
   ropt.smoke = args.Flag("smoke") != nullptr;
-
-  std::optional<SmokeCacheDir> smoke_cache;
-  if (ropt.smoke) {
-    smoke_cache.emplace(args, "repro --smoke", "hcrf-repro-smoke");
-    if (!smoke_cache->ok()) return 1;
-    config.cache_dir = smoke_cache->dir();
-  }
-
-  service::SchedulerService session(config);
-  experiment::ReproReport report =
-      experiment::RunExperiments(selection, ropt, session);
-  // Drained totals of the fresh session: exact write counts, and the
-  // smoke's warm leg probes a complete disk tier.
-  session.Drain();
-  if (session.has_cache()) report.cache = session.tier_stats();
-  PrintReproSummary(report, config.cache_dir);
-  bool ok = report.ref_failures == 0;
-  if (ropt.smoke) {
-    // As in `sweep --smoke`: one resident session carries both legs, so
-    // the warm run probes the cache stack the cold run populated (the
-    // memory tier with --cache-mem, the disk tier otherwise).
-    const experiment::ReproReport warm =
-        experiment::RunExperiments(selection, ropt, session);
-    PrintReproSummary(warm, config.cache_dir);
-    if (warm.scheduled != 0 || warm.hits != warm.requests) {
-      std::fprintf(stderr,
-                   "repro --smoke: warm run expected all cache hits, got %d "
-                   "hits / %d scheduled of %d requests\n",
-                   warm.hits, warm.scheduled, warm.requests);
-      ok = false;
-    }
-    if (experiment::ReproCsv(warm) != experiment::ReproCsv(report) ||
-        experiment::ReproMarkdown(warm) != experiment::ReproMarkdown(report)) {
-      std::fprintf(stderr,
-                   "repro --smoke: warm reports differ from cold reports\n");
-      ok = false;
-    }
-    if (config.cache_mem_entries > 0 && session.memory_stats().hits <= 0) {
-      std::fprintf(stderr,
-                   "repro --smoke: --cache-mem warm run never hit the "
-                   "memory tier\n");
-      ok = false;
-    }
-    if (warm.ref_failures != 0) ok = false;
-    std::printf("repro smoke: %s\n", ok ? "PASS" : "FAIL");
-  }
-  const std::string csv = experiment::ReproCsv(report);
-  const std::string md = experiment::ReproMarkdown(report);
-
-  const std::string* out_dir = args.Flag("out");
-  const std::string dir = out_dir != nullptr ? *out_dir : ".";
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  const std::string csv_path = (fs::path(dir) / "repro.csv").string();
-  const std::string md_path = (fs::path(dir) / "repro.md").string();
-  io::WriteFileAtomic(csv_path, csv);
-  io::WriteFileAtomic(md_path, md);
-  std::printf("reports: %s %s\n", csv_path.c_str(), md_path.c_str());
-  if (args.Flag("quiet") == nullptr) {
-    std::fwrite(md.data(), 1, md.size(), stdout);
-  }
+  // The reports written are the first (with --smoke: the cold) run's.
+  Outputs reports;
+  const bool ok = RunLegs(
+      ConfigFromFlags(args), ropt.smoke ? "repro smoke" : nullptr,
+      [&](service::SchedulerService& session) {
+        const experiment::ReproReport report =
+            experiment::RunExperiments(selection, ropt, session);
+        PrintReproSummary(report);
+        Leg leg;
+        leg.requests = report.requests;
+        leg.scheduled = report.scheduled;
+        leg.hits = report.hits;
+        leg.ok = report.ref_failures == 0;
+        leg.outputs = {{"repro.csv", experiment::ReproCsv(report)},
+                       {"repro.md", experiment::ReproMarkdown(report)}};
+        if (reports.empty()) reports = leg.outputs;
+        return leg;
+      });
+  WriteReports(args.Flag("out"), reports, args.Flag("quiet") != nullptr);
   return ok ? 0 : 1;
 }
 
@@ -972,14 +920,7 @@ int CmdServe(const Args& args) {
           "--timeout-ms: expected a non-negative timeout, got '" + *v + "'");
     }
   }
-  if (const std::string* c = args.Flag("cache")) {
-    sopt.service.cache_dir = *c;
-  }
-  CacheMemFromFlags(args, &sopt.service.cache_mem_entries,
-                    &sopt.service.cache_mem_bytes);
-  if (const std::string* t = args.Flag("threads")) {
-    sopt.service.threads = ParseIntFlag("threads", *t);
-  }
+  sopt.service = ConfigFromFlags(args);
 
   service::Server server(sopt);
   server.Start();
@@ -1094,8 +1035,7 @@ int CmdSubmit(const Args& args) {
   for (const service::ManifestEntry& entry : entries) {
     // Unlike `run`, a client fails fast on an unloadable entry: nothing
     // has been submitted yet, so there is no partial batch to salvage.
-    requests.push_back(service::ResolveManifestEntry(
-        entry, base_dir, hw::RFModelMode::kPaperTable));
+    requests.push_back(service::ResolveManifestEntry(entry, base_dir));
     if (args.Flag("delta") != nullptr) {
       // Node ids are per-loop: an entry beyond this loop's slot count
       // simply has no node to perturb there.
