@@ -119,7 +119,9 @@ class Server {
   /// Serves one admitted connection. Its in-flight slot is released just
   /// before the reply's last write: a closed-loop client reconnects as
   /// soon as it has read its reply, and must never be bounced `busy` by
-  /// its own finished connection.
+  /// its own finished connection. That last write still holds the pool
+  /// worker (at most for the socket timeout); a connection admitted
+  /// meanwhile waits for it.
   void HandleConnection(int fd);
 
   ServerOptions opt_;
