@@ -127,12 +127,21 @@ ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
   // deduplicated by schedule-cache key (identical (loop, machine, options,
   // overrides) cells — within or across experiments — schedule once).
   // Each cell also names its metric job, deduplicated on the full tuple
-  // the metrics depend on (see MetricJob).
+  // the metrics depend on (see MetricJob). The cells' overrides and keys
+  // are pure functions of the cell, so they are derived in one parallel
+  // pass at the batch's width; deduplication then walks the cells in
+  // order, so request order, ids and keys do not depend on the width.
+  const auto expand_start = std::chrono::steady_clock::now();
+  struct Cell {
+    std::size_t plan = 0;
+    std::size_t loop = 0;  ///< Index into the plan's loops.
+    const MachineVariant* mv = nullptr;
+    const EngineVariant* ev = nullptr;
+    sched::LatencyOverrides overrides;
+    std::string key;
+  };
   std::vector<Plan> plans;
-  std::vector<service::BatchRequest> requests;
-  std::unordered_map<std::string, std::size_t> dedup;
-  std::vector<MetricJob> jobs;
-  std::map<std::tuple<std::size_t, long, long, bool>, std::size_t> job_of;
+  std::vector<Cell> cells;
   for (const Experiment* def : sel) {
     Plan plan;
     plan.def = def;
@@ -141,38 +150,63 @@ ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
     for (const MachineVariant& mv : def->machines) {
       for (const EngineVariant& ev : def->engines) {
         for (std::size_t l = 0; l < plan.loops.size(); ++l) {
-          const std::shared_ptr<const workload::Loop>& loop = plan.loops[l];
-          service::BatchRequest req;
-          req.id = def->name + "/" + mv.label + "/" + ev.label + "/" +
-                   LoopLabel(*loop, l);
-          req.loop = loop;
-          req.machine = mv.machine;
-          req.options = ev.options;
-          if (ev.prefetch != memsim::PrefetchMode::kNone) {
-            req.overrides = memsim::ClassifyBindingPrefetch(
-                loop->ddg, mv.machine, loop->trip, ev.prefetch);
-          }
-          const std::string key =
-              service::MakeCacheKey(loop->ddg, req.machine, req.options,
-                                    req.overrides)
-                  .Hex();
-          const auto [it, inserted] = dedup.emplace(key, requests.size());
-          if (inserted) requests.push_back(std::move(req));
-          const std::size_t request = it->second;
-          const auto [job, fresh] = job_of.emplace(
-              std::make_tuple(request, loop->trip, loop->invocations,
-                              ev.simulate_memory),
-              jobs.size());
-          if (fresh) {
-            jobs.push_back(
-                {request, loop.get(), &mv.machine, ev.simulate_memory});
-          }
-          plan.cell_job.push_back(job->second);
+          cells.push_back({plans.size(), l, &mv, &ev, {}, {}});
         }
       }
     }
     plans.push_back(std::move(plan));
   }
+  perf::ParallelFor(
+      perf::TaskPool::Shared(), cells.size(), session.batch_width(),
+      [&](std::size_t c) {
+        Cell& cell = cells[c];
+        const workload::Loop& loop = *plans[cell.plan].loops[cell.loop];
+        if (cell.ev->prefetch != memsim::PrefetchMode::kNone) {
+          cell.overrides = memsim::ClassifyBindingPrefetch(
+              loop.ddg, cell.mv->machine, loop.trip, cell.ev->prefetch);
+        }
+        cell.key = service::MakeCacheKey(loop.ddg, cell.mv->machine,
+                                         cell.ev->options, cell.overrides)
+                       .Hex();
+      });
+
+  std::vector<service::BatchRequest> requests;
+  std::unordered_map<std::string, std::size_t> dedup;
+  std::vector<MetricJob> jobs;
+  std::map<std::tuple<std::size_t, long, long, bool>, std::size_t> job_of;
+  for (Cell& cell : cells) {
+    Plan& plan = plans[cell.plan];
+    const std::shared_ptr<const workload::Loop>& loop = plan.loops[cell.loop];
+    const auto [it, inserted] = dedup.emplace(cell.key, requests.size());
+    if (inserted) {
+      service::BatchRequest req;
+      req.id = plan.def->name + "/" + cell.mv->label + "/" + cell.ev->label +
+               "/" + LoopLabel(*loop, cell.loop);
+      req.loop = loop;
+      req.machine = cell.mv->machine;
+      req.options = cell.ev->options;
+      req.overrides = std::move(cell.overrides);
+      requests.push_back(std::move(req));
+    }
+    const std::size_t request = it->second;
+    const bool simulate_memory = cell.ev->simulate_memory;
+    const auto [job, fresh] = job_of.emplace(
+        std::make_tuple(request, loop->trip, loop->invocations,
+                        simulate_memory),
+        jobs.size());
+    if (fresh) {
+      jobs.push_back(
+          {request, loop.get(), &cell.mv->machine, simulate_memory});
+    }
+    plan.cell_job.push_back(job->second);
+  }
+  // The keys are dead once deduplicated; free them before the batch.
+  cells.clear();
+  cells.shrink_to_fit();
+  const double expand_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    expand_start)
+          .count();
 
   service::BatchReport batch;
   if (!requests.empty()) batch = session.RunBatch(requests);
@@ -182,6 +216,7 @@ ReproReport RunExperiments(const std::vector<const Experiment*>& selection,
   report.requests = static_cast<int>(requests.size());
   report.scheduled = batch.scheduled;
   report.hits = batch.hits;
+  report.expand_seconds = expand_seconds;
   report.seconds = batch.seconds;
   report.timing = batch.timing;
 

@@ -80,6 +80,9 @@ struct ReproReport {
   int scheduled = 0;  ///< Fresh MirsHC runs.
   int hits = 0;       ///< Requests served from the persistent cache.
   int ref_failures = 0;  ///< Enforced reference values out of tolerance.
+  /// Expanding the experiments into the batch: cells, their cache keys,
+  /// request and metric-job deduplication.
+  double expand_seconds = 0.0;
   double seconds = 0.0;  ///< The scheduling batch only.
   /// The parallel metric-derivation pass after the batch (memory replays
   /// included).

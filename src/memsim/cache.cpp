@@ -1,5 +1,6 @@
 #include "memsim/cache.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "core/check.h"
@@ -22,25 +23,22 @@ Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
   line_shift_ = std::countr_zero(line_bytes);
   set_shift_ = std::countr_zero(sets);
   set_mask_ = sets - 1;
-  ways_.assign(static_cast<std::size_t>(sets) *
+  tags_.assign(static_cast<std::size_t>(sets) *
                    static_cast<std::size_t>(cfg_.associativity),
-               Way{});
+               kEmptyTag);
 }
 
 void Cache::Reset() {
-  for (Way& w : ways_) w = Way{};
-  tick_ = 0;
+  std::fill(tags_.begin(), tags_.end(), kEmptyTag);
   hits_ = 0;
   misses_ = 0;
 }
 
 bool Cache::Probe(std::uint64_t addr) const {
   std::uint64_t tag = 0;
-  const Way* base = &ways_[FirstWay(addr, &tag)];
-  for (int a = 0; a < cfg_.associativity; ++a) {
-    if (base[a].tag == tag) return true;
-  }
-  return false;
+  const std::uint64_t* const set = &tags_[FirstWay(addr, &tag)];
+  return std::find(set, set + cfg_.associativity, tag) !=
+         set + cfg_.associativity;
 }
 
 }  // namespace hcrf::memsim

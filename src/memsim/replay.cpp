@@ -1,6 +1,7 @@
 #include "memsim/replay.h"
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "core/check.h"
@@ -21,7 +22,8 @@ struct MemOp {
   bool is_load;
   bool bound_miss;    ///< Scheduled assuming miss latency (prefetched).
   std::uint64_t addr0;  ///< Address of iteration 0: array base + offset.
-  std::int64_t stride;
+  std::uint64_t stride;  ///< Two's complement: adding it wraps like + stride.
+  std::uint64_t addr;    ///< Address of the current iteration.
 };
 
 /// Completion times of the outstanding misses, ascending: a fixed array
@@ -84,9 +86,15 @@ ReplayResult ReplayLoop(const workload::Loop& loop,
         op.is_load && sr.overrides.For(v, m.lat.load_hit) >= m.lat.load_miss;
     op.addr0 = ArrayBase(n.mem->array_id) +
                static_cast<std::uint64_t>(n.mem->base);
-    op.stride = n.mem->stride;
+    op.stride = static_cast<std::uint64_t>(n.mem->stride);
+    op.addr = op.addr0;
     ops.push_back(op);
   }
+  // The order of ops that share a cycle is whatever this unstable sort
+  // leaves (libstdc++'s introsort over graph order), and the stall cycles
+  // depend on it: the first of two same-cycle misses takes the free MSHR.
+  // Keep the call and its comparator as they are: a std::stable_sort
+  // changes repro.csv from line 53 on (all references still pass).
   std::sort(ops.begin(), ops.end(),
             [](const MemOp& a, const MemOp& b) { return a.cycle < b.cycle; });
   if (ops.empty()) return out;
@@ -99,20 +107,33 @@ ReplayResult ReplayLoop(const workload::Loop& loop,
              "%d MSHRs: the replay models 1 to %d", mshrs, Mshrs::kMaxMshrs);
 
   // One invocation against the current cache state; returns stall cycles.
+  //
+  // MSHRs retire lazily. The occupancy is read only at a miss, and
+  // retiring up to cycle a and then b equals retiring up to max(a, b), so
+  // a miss retires up to the largest issue cycle since the previous miss.
+  // Ops are sorted by cycle and an iteration's base never decreases, so
+  // that largest cycle is this access's issue or the previous iteration's
+  // last issue (`tail`), when that access came after the previous miss.
+  // A tail that was itself the previous miss is harmless: that miss left
+  // only completions later than its issue.
   const long trip = loop.trip;
+  const int last_cycle = ops.back().cycle;
+  constexpr long kNothingPending = std::numeric_limits<long>::min();
   auto run_invocation = [&]() -> long {
     long stall = 0;
     long misses = 0;
+    long tail = kNothingPending;
     Mshrs inflight;  // completion times, in absolute cycles
+    for (MemOp& op : ops) op.addr = op.addr0;
     for (long i = 0; i < trip; ++i) {
       const long iter_base = i * ii + stall;
-      for (const MemOp& op : ops) {
-        const long issue = iter_base + op.cycle;
-        inflight.RetireUpTo(issue);
-        const std::uint64_t addr =
-            op.addr0 + static_cast<std::uint64_t>(op.stride * i);
-        const bool hit = cache.Access(addr);
+      for (MemOp& op : ops) {
+        const bool hit = cache.Access(op.addr);
+        op.addr += op.stride;
         if (hit) continue;
+        const long issue = iter_base + op.cycle;
+        inflight.RetireUpTo(std::max(issue, tail));
+        tail = kNothingPending;
         ++misses;
         // MSHR pressure: stall until a slot frees.
         long extra = 0;
@@ -127,6 +148,7 @@ ReplayResult ReplayLoop(const workload::Loop& loop,
         }
         stall += extra;
       }
+      tail = iter_base + last_cycle;
     }
     out.accesses += trip * static_cast<long>(ops.size());
     out.misses += misses;

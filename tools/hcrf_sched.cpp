@@ -775,11 +775,11 @@ void PrintReproSummary(const experiment::ReproReport& report) {
   }
   std::printf(
       "repro: %zu experiments, %d cells in %d deduplicated requests, "
-      "%d scheduled, %d cache hits, %d failed cells, batch %.3f s, "
-      "metrics %.3f s (%d replays)\n",
+      "%d scheduled, %d cache hits, %d failed cells, expand %.3f s, "
+      "batch %.3f s, metrics %.3f s (%d replays)\n",
       report.experiments.size(), cells, report.requests, report.scheduled,
-      report.hits, failed_cells, report.seconds, report.metrics_seconds,
-      report.replays);
+      report.hits, failed_cells, report.expand_seconds, report.seconds,
+      report.metrics_seconds, report.replays);
   std::printf(
       "timing: probe %.3f s, mii %.3f s, schedule %.3f s, serialize %.3f s "
       "(summed per-request phases)\n",
